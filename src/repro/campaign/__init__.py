@@ -19,7 +19,7 @@ The pieces:
 * :mod:`repro.campaign.checkpoint` -- the campaign directory layout
   and the append-only checkpoint log;
 * :mod:`repro.campaign.runner` -- :func:`run_campaign`: dispatch onto
-  persistent worker processes (:mod:`repro.perf.procpool`),
+  persistent worker processes (:mod:`repro.exec`),
   bounded-backoff retries, graceful degradation to failed-job
   records;
 * :mod:`repro.campaign.manifest` -- the deterministic final

@@ -27,7 +27,7 @@ Commands
     Post one specification to a running service and print (or save)
     the response document.
 ``worker --connect HOST:PORT``
-    Join a remote scorer or service pool as a dial-in worker over the
+    Join a remote service pool as a dial-in worker over the
     framed-TCP execution substrate (see :mod:`repro.exec`).
 """
 
@@ -42,22 +42,11 @@ from repro.core.config import CrusadeConfig
 from repro.core.crusade import crusade
 from repro.core.crusade_ft import crusade_ft
 from repro.core.report import render_architecture
+from repro.errors import SpecificationError
 from repro.graph.generator import GeneratorConfig, generate_spec
 from repro.io.result_json import save_result_file
 from repro.io.spec_json import load_spec_file, save_spec_file, spec_to_dict
 from repro.bench.examples import EXAMPLE_NAMES, build_example
-
-
-def _parallel_eval_arg(value: str) -> int:
-    """``--parallel-eval`` accepts an integer or ``auto`` (cpu count)."""
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected an integer or 'auto', got %r" % (value,)
-        ) from None
 
 
 def _add_synthesize(subparsers) -> None:
@@ -88,14 +77,6 @@ def _add_synthesize(subparsers) -> None:
     p.add_argument("--no-bound-abort", action="store_true",
                    help="disable incumbent-driven bound aborts "
                         "(evaluate every candidate to completion)")
-    p.add_argument("--pool-batch", type=int, default=4, metavar="N",
-                   help="candidate submissions per pool-worker message "
-                        "(default 4; 1 = the unbatched protocol)")
-    p.add_argument("--parallel-eval", type=_parallel_eval_arg, default=0,
-                   metavar="N|auto",
-                   help="score allocation candidates with N worker processes "
-                        "('auto' = os.cpu_count(); 0 or 1 = serial; results "
-                        "are identical either way)")
     p.add_argument("--timeline", choices=("auto", "list", "tree"),
                    default="auto",
                    help="scheduler timeline implementation: flat bisected "
@@ -117,17 +98,6 @@ def _add_synthesize(subparsers) -> None:
                    help="do not read the store (cold run); the store is "
                         "still written, so the run warms it for later "
                         "resubmissions")
-    p.add_argument("--exec-transport", choices=("pipe", "socket"),
-                   default="pipe", dest="exec_transport",
-                   help="worker transport for --parallel-eval: forked "
-                        "pipes (default) or framed TCP sockets; results "
-                        "are identical either way (REPRO_EXEC_TRANSPORT "
-                        "overrides)")
-    p.add_argument("--worker-port", type=int, default=None, metavar="PORT",
-                   dest="worker_port",
-                   help="accept remote 'repro worker --connect' scorers "
-                        "on this TCP port (0 = ephemeral) to widen the "
-                        "--parallel-eval pool across hosts")
 
 
 def _add_generate(subparsers) -> None:
@@ -335,21 +305,33 @@ def _profile_path(args, spec) -> str:
     return name
 
 
+def _load_spec_arg(path: str):
+    """The spec at ``path``, or None after printing a one-line error."""
+    try:
+        return load_spec_file(path)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        reason = "not valid JSON (%s)" % (exc,)
+    except SpecificationError as exc:
+        reason = str(exc)
+    print("repro: error: %s: %s" % (path, reason), file=sys.stderr)
+    return None
+
+
 def _cmd_synthesize(args) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _load_spec_arg(args.spec)
+    if spec is None:
+        return 2
     config = CrusadeConfig(
         reconfiguration=not args.no_reconfig,
         max_explicit_copies=args.copies,
         incremental=not args.no_incremental,
         prune=not args.no_prune,
         bound_abort=not args.no_bound_abort,
-        parallel_eval=args.parallel_eval,
-        pool_batch=args.pool_batch,
         timeline=args.timeline,
         cache_dir=args.cache_dir,
         warm_start=not args.no_warm_start,
-        exec_transport=args.exec_transport,
-        worker_port=args.worker_port,
     )
     tracer = _build_tracer(args)
     profiler = None

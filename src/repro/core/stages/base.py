@@ -17,7 +17,7 @@ stage                     context fields written
 ``Clustering``            ``clustering`` (skipped when donated)
 ``Allocation``            ``arch``, ``priorities``, ``fast``,
                           ``prune_on``, ``allocation_feasible``,
-                          ``allocation_aware``, ``scorer`` (transient)
+                          ``allocation_aware``
 ``FullCheck``             ``full``, ``best``
 ``Repair``                ``full``, ``best``, ``arch``, ``priorities``,
                           ``allocation_feasible``

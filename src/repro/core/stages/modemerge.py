@@ -140,11 +140,9 @@ class ModeMerge(Stage):
             fast_inner_loop=ctx.config.fast_inner_loop,
             link_strategies=ctx.config.link_strategies,
             incremental=ctx.config.incremental,
-            parallel_eval=ctx.config.parallel_eval,
             prune=ctx.config.prune,
             timeline=ctx.config.timeline,
             bound_abort=ctx.config.bound_abort,
-            pool_batch=ctx.config.pool_batch,
             policy=ctx.config.policy,
             # Store plumbing rides along for faithfulness only: the
             # nested synthesis enters via SynthesisContext.begin, so

@@ -1,9 +1,9 @@
 """The execution substrate: transport-abstract supervised workers.
 
 ``repro.exec`` is the one home for "run jobs in worker processes and
-survive their failures".  It factors what three layers used to
-reimplement -- the scorer's wave pool, the campaign runner's slot
-loop and the service's shard pool -- into:
+survive their failures".  It factors what two layers used to
+reimplement -- the campaign runner's slot loop and the service's
+shard pool -- into:
 
 * :class:`~repro.exec.transport.WorkerTransport` -- how one worker
   starts, speaks, proves liveness and dies;
@@ -16,9 +16,10 @@ loop and the service's shard pool -- into:
 * :class:`~repro.exec.supervise.SupervisedWorker` -- the single
   crash/timeout/error/retry/escalation state machine.
 
-Transport selection is per call site (``exec_transport`` config,
-``--exec-transport`` flags) with the ``REPRO_EXEC_TRANSPORT``
-environment variable as the global kill switch.
+Transport selection is per call site (``repro serve
+--exec-transport``; the campaign runner takes the default) with the
+``REPRO_EXEC_TRANSPORT`` environment variable as the global kill
+switch.
 """
 
 from repro.exec.frames import (

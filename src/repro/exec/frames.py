@@ -6,21 +6,14 @@ JSON (sorted keys, compact separators, UTF-8).  Canonical encoding
 means the same message always produces the same bytes, so frames can
 be logged, diffed and replayed deterministically.
 
-Two escape hatches keep the substrate able to carry everything the
-pipe transport carries today:
+Frames carry plain JSON only: :func:`encode_frame` refuses any other
+value (``bytes``, sets, arbitrary objects) with :class:`FrameError`,
+and a received body is decoded by ``json.loads`` alone -- nothing on
+the wire is ever unpickled, whatever shape it takes.  The job
+payloads and results of the campaign runner and service shard pool
+are JSON documents already.
 
-* raw ``bytes`` values (the scorer's pickled generation blobs) become
-  ``{"__bytes_b64__": <base64>}``;
-* any other non-JSON value (the scorer's allocation-option chunks)
-  becomes ``{"__pickle_b64__": <base64 of its pickle>}``.
-
-The pickle hatch means frames are only safe between mutually trusted
-processes -- the same trust domain the pipe transport already
-implies; ``docs/SERVICE.md`` spells this out for remote workers.
-
-Tuples serialize as JSON arrays and come back as lists; consumers
-normalize where tuple-ness matters (the scorer re-tuples badness and
-floor vectors on receipt).
+Tuples serialize as JSON arrays and come back as lists.
 
 Reads are *exact*: :meth:`FrameConnection.recv` never reads past the
 end of one frame, so the underlying socket file descriptor stays
@@ -33,9 +26,7 @@ of hanging.
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 import select
 import socket
 import struct
@@ -55,9 +46,6 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 #: :class:`FrameError`.
 FRAME_BODY_TIMEOUT_S = 30.0
 
-_BYTES_KEY = "__bytes_b64__"
-_PICKLE_KEY = "__pickle_b64__"
-
 
 class FrameError(RuntimeError):
     """A protocol violation on a framed connection (oversize frame,
@@ -68,35 +56,17 @@ class RecvTimeout(Exception):
     """No frame started within the ``timeout`` passed to ``recv``."""
 
 
-def _encode_default(value: Any) -> Any:
-    """``json.dumps`` fallback: bytes and opaque objects get wrapped."""
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return {_BYTES_KEY: base64.b64encode(bytes(value)).decode("ascii")}
-    return {
-        _PICKLE_KEY: base64.b64encode(
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
-    }
-
-
-def _decode_hook(obj: dict) -> Any:
-    """``json.loads`` object hook: unwrap the two escape hatches."""
-    if len(obj) == 1:
-        if _BYTES_KEY in obj:
-            return base64.b64decode(obj[_BYTES_KEY])
-        if _PICKLE_KEY in obj:
-            return pickle.loads(base64.b64decode(obj[_PICKLE_KEY]))
-    return obj
-
-
 def encode_frame(message: Any) -> bytes:
-    """One message -> header + canonical-JSON body bytes."""
-    body = json.dumps(
-        message,
-        sort_keys=True,
-        separators=(",", ":"),
-        default=_encode_default,
-    ).encode("utf-8")
+    """One message -> header + canonical-JSON body bytes.
+
+    Raises :class:`FrameError` when ``message`` is not plain JSON.
+    """
+    try:
+        body = json.dumps(
+            message, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise FrameError("frame is not plain JSON: %s" % (exc,)) from exc
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(
             "frame of %d bytes exceeds the %d-byte cap"
@@ -108,7 +78,7 @@ def encode_frame(message: Any) -> bytes:
 def decode_body(body: bytes) -> Any:
     """One frame body's bytes -> the message it encodes."""
     try:
-        return json.loads(body.decode("utf-8"), object_hook=_decode_hook)
+        return json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise FrameError("undecodable frame body: %s" % (exc,)) from exc
 
@@ -154,7 +124,8 @@ class FrameConnection:
         """Frame and send one message (thread-safe).
 
         Raises ``OSError``/``BrokenPipeError`` when the peer is gone,
-        exactly as a dead pipe would.
+        exactly as a dead pipe would, and :class:`FrameError` when
+        ``message`` is not plain JSON.
         """
         data = encode_frame(message)
         with self._send_lock:

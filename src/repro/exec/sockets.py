@@ -10,7 +10,7 @@ Two ways a socket worker comes to exist:
 * **adoption** -- a remote ``repro worker --connect HOST:PORT``
   process dials a :class:`WorkerListener`, sends a hello frame, and
   the adopting pool answers with a *welcome* frame naming the role
-  (``job`` or ``score``) and its arguments.  The resulting
+  (``job``) and its arguments.  The resulting
   :meth:`SocketTransport.adopted` transport has no local process:
   liveness is heartbeat freshness, and "kill" is closing the
   connection (the remote worker exits on EOF).
@@ -83,7 +83,7 @@ class SocketTransport(WorkerTransport):
         ctx=None,
     ) -> None:
         """Configure an unspawned local socket worker for ``role``
-        (``"job"`` | ``"score"``) with role arguments ``kwargs``."""
+        (``"job"``) with role arguments ``kwargs``."""
         self.role = role
         self.role_kwargs = dict(kwargs or {})
         self.heartbeat_timeout_s = heartbeat_timeout_s

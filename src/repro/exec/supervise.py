@@ -1,11 +1,11 @@
 """The one crash/timeout/error/retry supervision state machine.
 
-Before ``repro.exec``, three layers each hand-rolled this machine
-over a pipe-coupled worker: the campaign runner's ``_Slot`` loop, the
-service ``ShardPool``'s attempt loop, and the ``JobWorker`` primitive
-they shared.  :class:`SupervisedWorker` is the single implementation,
-written against :class:`~repro.exec.transport.WorkerTransport` only,
-so every call site gets the same verdicts over every transport:
+Before ``repro.exec``, the campaign runner's ``_Slot`` loop and the
+service ``ShardPool``'s attempt loop each hand-rolled this machine
+over a shared pipe-coupled worker primitive.  :class:`SupervisedWorker`
+is the single implementation, written against
+:class:`~repro.exec.transport.WorkerTransport` only, so every call
+site gets the same verdicts over every transport:
 
 * **crash** -- the transport died mid-job (process death, dropped
   connection, torn frame, stale heartbeat); the worker is replaced

@@ -6,9 +6,8 @@ process, or a remote process that dialed in), how messages travel
 judged (process sentinel, or heartbeat freshness) and how it dies
 (the single SIGTERM -> SIGKILL escalation that used to be
 reimplemented per layer).  The supervision state machine
-(:mod:`repro.exec.supervise`) and the scorer wave loop are written
-against this interface only, so the three call sites --
-``ProcessPoolScorer``, the campaign runner and the service
+(:mod:`repro.exec.supervise`) is written against this interface
+only, so the two call sites -- the campaign runner and the service
 ``ShardPool`` -- share one substrate and one fault model.
 
 Contract highlights:
@@ -24,10 +23,11 @@ Contract highlights:
   frame, stale heartbeat -- surfaces as :class:`TransportDead`, the
   one exception supervision maps to a ``crash`` verdict.
 
-The transport *kind* is selected per call site (``exec_transport``
-config, ``--exec-transport`` flags) and globally overridable with the
-``REPRO_EXEC_TRANSPORT`` environment variable -- the kill switch that
-forces everything back onto pipes if the socket path misbehaves.
+The transport *kind* is selected per call site (``repro serve
+--exec-transport``; the campaign runner takes the default) and is
+globally overridable with the ``REPRO_EXEC_TRANSPORT`` environment
+variable -- the kill switch that forces everything back onto pipes if
+the socket path misbehaves.
 """
 
 from __future__ import annotations

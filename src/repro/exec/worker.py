@@ -1,21 +1,20 @@
 """Worker-side entry points: child loops and the dial-in client.
 
-Three ways a worker process starts, all converging on the same role
-loops:
+Three ways a worker process starts, all converging on the same job
+loop:
 
-* :func:`job_worker_main` / the scorer's ``score_worker_main`` run
-  directly over a forked pipe (``PipeTransport``);
+* :func:`job_worker_main` runs directly over a forked pipe
+  (``PipeTransport``);
 * :func:`socket_child_main` is the local socket spawn: the child
   connects back to its parent transport's private loopback listener,
   starts the heartbeat thread, and runs its role loop over frames;
 * :func:`connect_and_serve` is ``repro worker --connect HOST:PORT``:
   dial a pool's :class:`~repro.exec.sockets.WorkerListener`, send the
-  hello frame, let the *welcome* frame name the role (``job`` or
-  ``score``) and its arguments, then serve until the pool closes the
-  connection.
+  hello frame, let the *welcome* frame name the role (``job``) and
+  its arguments, then serve until the pool closes the connection.
 
-Because role loops only use ``recv``/``send``/``close``, the very
-same functions run over a ``multiprocessing`` pipe connection and a
+Because the job loop only uses ``recv``/``send``/``close``, the very
+same function runs over a ``multiprocessing`` pipe connection and a
 :class:`~repro.exec.frames.FrameConnection` -- which is what makes
 the pipe and socket transports byte-equivalent in behavior.
 """
@@ -72,14 +71,6 @@ def _serve_role(conn, role: str, kwargs: Dict[str, Any]) -> None:
     """Dispatch one connection to its role loop."""
     if role == "job":
         job_worker_main(conn, kwargs["target"])
-    elif role == "score":
-        from repro.perf.procpool import score_worker_main
-
-        score_worker_main(
-            conn,
-            bool(kwargs.get("use_engine", True)),
-            kwargs.get("timeline", "auto"),
-        )
     else:
         conn.close()
         raise ValueError("unknown worker role %r" % (role,))

@@ -184,6 +184,11 @@ def _graph_from_dict(data: Dict[str, Any]) -> TaskGraph:
 
 def spec_from_dict(data: Dict[str, Any]) -> SystemSpec:
     """Rebuild a specification from its JSON structures."""
+    if not isinstance(data, dict):
+        raise SpecificationError(
+            "not a %s document (a JSON %s)"
+            % (FORMAT_NAME, type(data).__name__)
+        )
     if data.get("format") != FORMAT_NAME:
         raise SpecificationError(
             "not a %s document (format=%r)" % (FORMAT_NAME, data.get("format"))

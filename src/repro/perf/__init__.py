@@ -1,10 +1,9 @@
 """Performance layer for the synthesis inner loop.
 
-Cooperating pieces, all observable through ``perf.*`` / ``prune.*`` /
-``pool.*`` tracer counters and each individually killable
+Cooperating pieces, all observable through ``perf.*`` / ``prune.*``
+tracer counters and each individually killable
 (``CrusadeConfig.incremental=False`` / ``REPRO_NO_INCREMENTAL=1``,
-``CrusadeConfig.prune=False`` / ``REPRO_NO_PRUNE=1``; the process
-pool is opt-in via ``CrusadeConfig.parallel_eval``):
+``CrusadeConfig.prune=False`` / ``REPRO_NO_PRUNE=1``):
 
 * :mod:`repro.perf.fingerprint` -- partitions the specification's
   graphs into resource-coupled components and fingerprints each
@@ -17,11 +16,6 @@ pool is opt-in via ``CrusadeConfig.parallel_eval``):
 * :mod:`repro.perf.prune` -- admissible candidate pruning: per-
   candidate finish-time/demand lower bounds cut provably infeasible
   candidates before the scheduler runs (pure dominance pruning);
-* :mod:`repro.perf.procpool` -- the wave-based multi-*process*
-  candidate scorer with deterministic first-feasible-by-index
-  selection and warm per-worker engine caches, running on the
-  :mod:`repro.exec` execution substrate (:class:`JobWorker` remains
-  as the pipe-transport compatibility surface);
 * :mod:`repro.perf.store` / :mod:`repro.perf.warmstart` -- the
   persistent content-addressed synthesis store (full-result tier +
   cross-run fragment tier under ``CrusadeConfig.cache_dir``) and the
@@ -46,14 +40,6 @@ from repro.perf.engine import (
     resolve_engine,
 )
 from repro.perf.fingerprint import component_fingerprint, partition_components
-from repro.perf.parallel import LockedTracer, wrap_tracer
-from repro.perf.procpool import (
-    MIN_FRONTIER_FACTOR,
-    JobWorker,
-    PoolError,
-    ProcessPoolScorer,
-    WorkerCrash,
-)
 from repro.perf.prune import (
     CandidatePruner,
     PruneVerdict,
@@ -71,12 +57,6 @@ __all__ = [
     "AppliedOption",
     "CandidatePruner",
     "IncrementalEngine",
-    "JobWorker",
-    "LockedTracer",
-    "MIN_FRONTIER_FACTOR",
-    "PoolError",
-    "ProcessPoolScorer",
-    "WorkerCrash",
     "PruneVerdict",
     "RepairBound",
     "component_fingerprint",
@@ -89,5 +69,4 @@ __all__ = [
     "TreePpeModeTimeline",
     "TreeTimeline",
     "undo_journal",
-    "wrap_tracer",
 ]

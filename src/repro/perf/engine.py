@@ -116,10 +116,10 @@ class Fragment:
 class IncrementalEngine:
     """Schedule/verdict cache shared across one synthesis run.
 
-    Thread-safe: the parallel candidate scorer's workers evaluate
-    concurrently against the same engine.  Cached fragments are
-    immutable once stored (schedules handed out are never mutated by
-    consumers), so sharing them across evaluations is safe.
+    Thread-safe: concurrent evaluations may share one engine.  Cached
+    fragments are immutable once stored (schedules handed out are
+    never mutated by consumers), so sharing them across evaluations is
+    safe.
     """
 
     def __init__(self, max_entries: int = 32, timeline: str = "auto") -> None:

@@ -25,9 +25,9 @@ bridge between such a resubmission and the persistent store
   (loosen one graph deadline) used by the warm-start benchmark leg,
   the CI identity job and the differential tests.
 
-Byte-identity: a fragment loaded from disk went through the exact
-pickle round-trip the process-pool scorer already performs in-run, and
-it is only addressable when every scheduling input matches, so the
+Byte-identity: a fragment loaded from disk went through a pickle
+round-trip, which preserves every scheduling value exactly, and it is
+only addressable when every scheduling input matches, so the
 merged verdicts -- and therefore the synthesized architecture -- are
 identical to a cold run's (``tests/perf/test_warmstart.py``).
 """

@@ -73,43 +73,6 @@ def test_remote_worker_joins_a_service_pool_and_runs_jobs():
     asyncio.run(main())
 
 
-def test_remote_worker_widens_a_scorer_pool():
-    """A dialed-in scorer is adopted at the next score() call and the
-    records stay identical to a local-only pool's."""
-    from repro.obs.trace import Tracer as T
-    from repro.perf.procpool import ProcessPoolScorer
-    from tests.perf.test_procpool import _direct_score_setup
-
-    payload, options = _direct_score_setup()
-
-    with ProcessPoolScorer(2, batch=2) as local_scorer:
-        token = local_scorer.begin_cluster(payload)
-        reference = local_scorer.score(token, options, "cheapest", T())
-
-    scorer = ProcessPoolScorer(
-        2, batch=2, worker_port=0, worker_host="127.0.0.1"
-    )
-    proc = None
-    try:
-        scorer._ensure_started()
-        proc = start_worker(scorer._listener.port)
-        deadline = time.monotonic() + 20.0
-        while not scorer._dialed:
-            assert time.monotonic() < deadline, "scorer never dialed in"
-            time.sleep(0.05)
-        token = scorer.begin_cluster(payload)
-        records = scorer.score(token, options, "cheapest", T())
-        assert scorer.pool_size == 3  # 2 local + 1 adopted
-        assert records == reference
-    finally:
-        scorer.close()
-        if proc is not None:
-            assert proc.wait(timeout=20.0) == 0
-
-    # Selection-affecting records are transport-independent.
-    assert all(len(record) == 4 for record in reference)
-
-
 def test_connect_to_a_dead_port_fails_fast_with_exit_1():
     import socket
 

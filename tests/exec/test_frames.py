@@ -1,4 +1,4 @@
-"""Framing: canonical round-trips, escape hatches, torn frames.
+"""Framing: canonical round-trips, JSON-only payloads, torn frames.
 
 Every test that touches a live connection uses a unix socketpair --
 one peer scripted byte-by-byte -- so the half-written and oversize
@@ -7,6 +7,7 @@ faults are exact, not timing-dependent.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 
@@ -51,15 +52,26 @@ def test_tuples_come_back_as_lists():
         ["bound", 3, [1, 2]]
 
 
-def test_bytes_escape_hatch_round_trips():
-    blob = bytes(range(256)) * 3
-    assert decode_body(encode_frame({"blob": blob})[4:]) == {"blob": blob}
+def test_bytes_are_refused_on_send():
+    with pytest.raises(FrameError):
+        encode_frame({"blob": bytes(range(256))})
 
 
-def test_pickle_escape_hatch_round_trips_opaque_objects():
-    message = {"when": complex(1, 2), "items": [{1, 2, 3}]}
-    decoded = decode_body(encode_frame(message)[4:])
-    assert decoded == {"when": complex(1, 2), "items": [{1, 2, 3}]}
+@pytest.mark.parametrize("value", [complex(1, 2), {1, 2, 3}, object()],
+                         ids=["complex", "set", "object"])
+def test_opaque_objects_are_refused_on_send(value):
+    with pytest.raises(FrameError):
+        encode_frame({"value": value})
+
+
+def test_pickle_shaped_body_decodes_as_a_plain_dict():
+    """A ``__pickle_b64__`` object is just JSON: never unpickled."""
+    import base64
+    import pickle
+
+    blob = base64.b64encode(pickle.dumps({1, 2, 3})).decode("ascii")
+    body = json.dumps({"__pickle_b64__": blob}).encode("utf-8")
+    assert decode_body(body) == {"__pickle_b64__": blob}
 
 
 def test_oversize_frame_is_refused_on_send(monkeypatch):
@@ -67,7 +79,7 @@ def test_oversize_frame_is_refused_on_send(monkeypatch):
 
     monkeypatch.setattr(frames, "MAX_FRAME_BYTES", 64)
     with pytest.raises(FrameError):
-        encode_frame({"blob": b"z" * 128})
+        encode_frame({"blob": "z" * 128})
 
 
 def test_oversize_header_is_refused_on_recv():

@@ -122,11 +122,11 @@ def _exit_now():
 
 
 def test_every_layer_reads_the_one_grace_constant():
-    """procpool re-exports (not copies) the substrate's grace period:
-    there is exactly one escalation knob."""
-    from repro.perf import procpool
+    """repro.exec re-exports (not copies) the substrate's grace
+    period: there is exactly one escalation knob."""
+    import repro.exec
 
-    assert procpool.TERM_GRACE_S is transport_mod.TERM_GRACE_S
+    assert repro.exec.TERM_GRACE_S is transport_mod.TERM_GRACE_S
 
 
 # ----------------------------------------------------------------------

@@ -109,10 +109,3 @@ def test_resolve_engine_kill_switches(monkeypatch):
     # "0" and "" mean "not disabled".
     monkeypatch.setenv("REPRO_NO_INCREMENTAL", "0")
     assert not incremental_disabled_by_env()
-
-
-def test_parallel_eval_validated():
-    from repro.errors import SpecificationError
-
-    with pytest.raises(SpecificationError):
-        CrusadeConfig(parallel_eval=-1)

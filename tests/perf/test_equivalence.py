@@ -66,14 +66,6 @@ def test_incremental_equals_from_scratch(seed, reconfig):
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=60))
-def test_parallel_scoring_equals_serial(seed):
-    serial = canonical(seed, incremental=True, parallel_eval=0)
-    parallel = canonical(seed, incremental=True, parallel_eval=2)
-    assert serial == parallel
-
-
-@PROPERTY_SETTINGS
-@given(seed=st.integers(min_value=0, max_value=60))
 def test_traced_incremental_equals_untraced(seed):
     untraced = canonical(seed, incremental=True)
     traced = canonical(seed, tracer=Tracer(), incremental=True)

@@ -107,11 +107,16 @@ class TestDigests:
             CrusadeConfig(prune=False),
             CrusadeConfig(bound_abort=False),
             CrusadeConfig(timeline="tree"),
-            CrusadeConfig(parallel_eval=4),
-            CrusadeConfig(pool_batch=1),
             CrusadeConfig(cache_dir="/tmp/x", warm_start=False),
         ):
             assert config_digest(variant) == config_digest(base)
+
+    def test_default_config_digest_is_pinned(self):
+        """Dropping identity-neutral fields from ``CrusadeConfig`` must
+        keep every existing store entry addressable: the default
+        config's digest is fixed."""
+        assert config_digest(CrusadeConfig()) == \
+            "d343d88a5ab5d42e957c17a2dcf6e8de"
 
     def test_config_digest_sees_semantic_knobs(self):
         base = config_digest(CrusadeConfig())

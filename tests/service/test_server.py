@@ -109,13 +109,18 @@ def test_non_json_body_is_a_structured_400(harness_factory):
 
 def test_invalid_request_gets_every_error_in_one_400(harness_factory):
     harness = harness_factory(pool=FakePool())
+    # parallel_eval and pool_batch were config fields until the
+    # process-pool scorer was deleted; they are unknown now.
+    config = {"zoom": 1, "parallel_eval": 2, "pool_batch": 4}
     status, body = submit(
-        "127.0.0.1", harness.port, {"format": "wrong", "config": {"zoom": 1}}
+        "127.0.0.1", harness.port, {"format": "wrong", "config": config}
     )
     assert status == 400
     assert body["error"]["kind"] == "bad-request"
     joined = "\n".join(body["error"]["errors"])
-    assert "format:" in joined and "config.zoom" in joined and "spec:" in joined
+    assert "format:" in joined and "spec:" in joined
+    for field in config:
+        assert "config.%s: unknown" % field in joined
 
 
 def test_oversized_declared_body_is_a_413(harness_factory):

@@ -92,12 +92,25 @@ class TestCli:
         assert path_a != path_b
         assert _profile_path(Args, spec_a) == path_a
 
-    def test_synthesize_parallel_eval_accepts_auto(self, spec_file, capsys):
-        code = main([
-            "synthesize", str(spec_file), "--copies", "2",
-            "--parallel-eval", "auto",
-        ])
-        assert code == 0
+    @pytest.mark.parametrize("shape", [
+        "missing", "empty", "truncated", "non-spec",
+    ])
+    def test_synthesize_bad_spec_is_one_error_line(
+        self, shape, spec_file, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.json"
+        if shape == "empty":
+            path.write_text("")
+        elif shape == "truncated":
+            text = spec_file.read_text()
+            path.write_text(text[: len(text) // 2])
+        elif shape == "non-spec":
+            path.write_text(json.dumps({"hello": "world"}))
+        code = main(["synthesize", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("repro: error: %s: " % path)
 
     def test_synthesize_ft(self, spec_file, capsys):
         code = main(["synthesize", str(spec_file), "--ft", "--copies", "2"])
