@@ -1,24 +1,25 @@
-"""Inner-loop benchmark: pruning + incremental engine vs. from-scratch.
+"""Inner-loop benchmark: production inner loop vs. the reference mode.
 
 Times the end-to-end :func:`repro.core.crusade.crusade` run on paper
-examples in three configurations, verifies all results are
+examples in two configurations, verifies the results are
 byte-identical, and records the timings in ``BENCH_inner_loop.json``
 at the repository root:
 
-* ``seconds_from_scratch`` -- engine off, pruning off: every candidate
-  is rescheduled from scratch by the legacy scheduler;
-* ``seconds_incremental`` -- engine on, pruning off: per-component
-  fragment caching, planned scheduling, copy-on-write application;
-* ``seconds_pruned`` -- engine on, pruning on, bound aborts *off*:
-  admissible candidate pruning layered over the engine (directly
-  comparable to records from before the bound-abort layer existed).
-  The headline ``speedup`` is from-scratch over pruned;
-* ``seconds_bound_abort`` -- engine + pruning + incumbent-driven
-  bound aborts: the full optimized stack.  The record carries the
-  abort counters and ``abort_rate`` (``sched.abort / sched.runs``).
+* ``seconds_from_scratch`` -- the reference mode
+  (``CrusadeConfig(incremental=False)``): no engine, no pruning, no
+  bound aborts; every candidate is rescheduled from scratch by the
+  legacy scheduler on the linear reference timelines;
+* ``seconds_bound_abort`` -- the production inner loop (the default
+  config): engine, pruning, incumbent-driven bound aborts and
+  blocked-index timelines.  The key keeps its historical name, under
+  which earlier revisions recorded the same full stack.  The record
+  carries the prune/abort counters and ``abort_rate``
+  (``sched.abort / sched.runs``).
+
+The headline ``speedup`` is reference over production.
 
 * ``seconds_warm_start`` / ``seconds_exact_hit`` -- the cross-run
-  warm-start legs (:mod:`repro.perf.store`): a bound-abort run
+  warm-start legs (:mod:`repro.perf.store`): a production run
   populates a fresh store, one deadline is loosened via
   :func:`repro.perf.warmstart.tweak_deadline`, and the tweaked spec is
   synthesized cold (the denominator), then warm against the populated
@@ -27,20 +28,23 @@ at the repository root:
   byte-identical to the cold tweaked run.  ``--skip-warm`` drops these
   legs.
 
-``--skip-scratch`` records large workloads (e.g. ``NGXM`` at scale 0.25) without the
-slow baselines: the record carries the optimized legs and
-``feasible`` with ``speedup: null``.  The regression check falls back
-to comparing ``seconds_pruned`` against the baseline's
-``seconds_pruned`` for such records (pruned-vs-previous-pruned), so
-skip-scratch rows are still guarded rather than silently skipped.
+``--skip-scratch`` records large workloads (e.g. ``NGXM`` at scale
+0.25) without the slow reference leg: the record carries the
+production legs and ``feasible`` with ``speedup: null``.  The
+regression check falls back to comparing ``seconds_bound_abort``
+against the baseline's for such records, so skip-scratch rows are
+still guarded rather than silently skipped.
 
 Every record carries the same key set (:data:`RECORD_SCHEMA`): legs a
 run skipped are ``null``, never absent, and ``merge_records``
 back-fills records written by older revisions of this script so the
-committed JSON stays schema-uniform.  ``transport_sweep`` is such a
-historical key: the A1TR@0.05 record keeps the parallel-scoring sweep
-that showed the since-deleted process-pool scorer slower than serial
-scoring at every worker count; no current leg writes it.
+committed JSON stays schema-uniform.  Historical keys no current leg
+writes: ``timeline``, ``seconds_incremental``/``speedup_incremental``
+(engine without pruning), ``seconds_pruned`` (engine and pruning
+without bound aborts; the old ``speedup`` denominator),
+``speedup_bound_abort`` (what ``speedup`` now measures), and
+``transport_sweep`` (the A1TR@0.05 parallel-scoring sweep that showed
+the since-deleted process-pool scorer slower than serial scoring).
 
 Run directly (not under pytest)::
 
@@ -75,7 +79,8 @@ DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_inner_loop
 
 #: The uniform record shape.  Every record written by this script
 #: carries exactly these keys (plus nothing else); ``None`` means the
-#: leg was skipped or predates the key.  ``merge_records`` normalizes
+#: leg was skipped, predates the key, or is historical (see the module
+#: docstring).  ``merge_records`` normalizes
 #: previously committed records against this schema.
 RECORD_SCHEMA = {
     "example": None,
@@ -119,23 +124,18 @@ def _canonical(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _timed_run(spec, incremental: bool, prune: bool,
-               timeline: str = "auto", bound_abort: bool = False,
-               cache_dir=None):
-    config = CrusadeConfig(
-        incremental=incremental, prune=prune, timeline=timeline,
-        bound_abort=bound_abort, cache_dir=cache_dir,
-    )
+def _timed_run(spec, incremental: bool = True, cache_dir=None):
+    config = CrusadeConfig(incremental=incremental, cache_dir=cache_dir)
     tracer = Tracer()
     started = time.perf_counter()
     result = crusade(spec, config=config, tracer=tracer)
     return time.perf_counter() - started, result, tracer.counters.as_dict()
 
 
-def warm_start_legs(spec, timeline: str, store_parent=None) -> dict:
+def warm_start_legs(spec, store_parent=None) -> dict:
     """The cross-run legs: populate, tweak one deadline, resubmit.
 
-    The denominator is a *cold* bound-abort run of the tweaked spec
+    The denominator is a *cold* production run of the tweaked spec
     (the store-less behavior a resubmitting user would otherwise get);
     the warm run sees a store populated by the original spec and must
     be byte-identical to the cold run.  A second, unchanged
@@ -150,26 +150,16 @@ def warm_start_legs(spec, timeline: str, store_parent=None) -> dict:
         prefix="crusade-store-",
         dir=str(store_parent) if store_parent else None,
     ) as cache_dir:
-        _, _, _ = _timed_run(
-            spec, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True, cache_dir=cache_dir,
-        )
+        _timed_run(spec, cache_dir=cache_dir)
         tweaked = tweak_deadline(spec)
-        seconds_cold, cold, _ = _timed_run(
-            tweaked, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True,
-        )
+        seconds_cold, cold, _ = _timed_run(tweaked)
         print("  cold tweaked: %.2fs" % (seconds_cold,))
-        seconds_warm, warm, counters = _timed_run(
-            tweaked, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True, cache_dir=cache_dir,
-        )
+        seconds_warm, warm, counters = _timed_run(tweaked, cache_dir=cache_dir)
         preloaded = counters.get("perf.store.fragments_preloaded", 0)
         print("  warm-start:   %.2fs (%d fragments preloaded)" % (
             seconds_warm, preloaded))
         seconds_hit, hit, hit_counters = _timed_run(
-            tweaked, incremental=True, prune=True, timeline=timeline,
-            bound_abort=True, cache_dir=cache_dir,
+            tweaked, cache_dir=cache_dir
         )
         print("  exact hit:    %.4fs (perf.store.hit %d)" % (
             seconds_hit, hit_counters.get("perf.store.hit", 0)))
@@ -189,83 +179,50 @@ def warm_start_legs(spec, timeline: str, store_parent=None) -> dict:
 
 
 def bench_example(name: str, scale: float, skip_scratch: bool = False,
-                  timeline: str = "auto", skip_warm: bool = False,
-                  store_parent=None) -> dict:
-    """One record: the mode timings plus the identity checks."""
+                  skip_warm: bool = False, store_parent=None) -> dict:
+    """One record: the leg timings plus the identity checks."""
     spec = build_example(name, scale=scale)
-    seconds_pruned, pruned, counters = _timed_run(
-        spec, incremental=True, prune=True, timeline=timeline
-    )
+    seconds_prod, prod, counters = _timed_run(spec)
     prune_cut = counters.get("prune.cut", 0)
-    print("  pruned:       %.2fs (cost $%.0f, %s, prune.cut %d)" % (
-        seconds_pruned, pruned.cost,
-        "feasible" if pruned.feasible else "INFEASIBLE", prune_cut))
-    seconds_bound, bounded, bound_counters = _timed_run(
-        spec, incremental=True, prune=True, timeline=timeline,
-        bound_abort=True,
-    )
-    sched_abort = bound_counters.get("sched.abort", 0)
-    sched_runs = bound_counters.get("sched.runs", 0)
+    sched_abort = counters.get("sched.abort", 0)
+    sched_runs = counters.get("sched.runs", 0)
     abort_rate = (
         round(sched_abort / sched_runs, 4) if sched_runs else None
     )
-    print("  bound-abort:  %.2fs (sched.abort %d / sched.runs %d)" % (
-        seconds_bound, sched_abort, sched_runs))
-    canonical_pruned = _canonical(pruned)
+    print("  production:   %.2fs (cost $%.0f, %s, prune.cut %d, "
+          "sched.abort %d / sched.runs %d)" % (
+              seconds_prod, prod.cost,
+              "feasible" if prod.feasible else "INFEASIBLE", prune_cut,
+              sched_abort, sched_runs))
     record = {
         "example": name,
         "scale": scale,
-        "timeline": timeline,
         "tasks": spec.total_tasks,
-        "seconds_from_scratch": None,
-        "seconds_incremental": None,
-        "seconds_pruned": round(seconds_pruned, 3),
-        "seconds_bound_abort": round(seconds_bound, 3),
-        "speedup": None,
-        "speedup_incremental": None,
+        "seconds_bound_abort": round(seconds_prod, 3),
         "prune_cut": prune_cut,
         "sched_abort": sched_abort,
         "sched_runs": sched_runs,
         "abort_rate": abort_rate,
-        "cost": round(pruned.cost, 2),
-        "feasible": pruned.feasible,
-        "identical": canonical_pruned == _canonical(bounded),
+        "cost": round(prod.cost, 2),
+        "feasible": prod.feasible,
+        "identical": True,
     }
     if not skip_warm:
-        warm = warm_start_legs(spec, timeline, store_parent=store_parent)
-        record["identical"] = (
-            record["identical"] and warm.pop("identical_warm")
-        )
+        warm = warm_start_legs(spec, store_parent=store_parent)
+        record["identical"] = warm.pop("identical_warm")
         record.update(warm)
     if skip_scratch:
-        print("  baselines skipped (--skip-scratch)")
+        print("  reference leg skipped (--skip-scratch)")
         return normalize_record(record)
 
-    seconds_scratch, scratch, _ = _timed_run(
-        spec, incremental=False, prune=False
-    )
+    seconds_scratch, scratch, _ = _timed_run(spec, incremental=False)
     print("  from-scratch: %.2fs" % (seconds_scratch,))
-    seconds_incr, incr, _ = _timed_run(
-        spec, incremental=True, prune=False, timeline=timeline
-    )
-    print("  incremental:  %.2fs" % (seconds_incr,))
-    canonical_scratch = _canonical(scratch)
-    identical = (
-        record["identical"]
-        and canonical_scratch == _canonical(incr)
-        and canonical_scratch == canonical_pruned
-    )
     record.update({
         "seconds_from_scratch": round(seconds_scratch, 3),
-        "seconds_incremental": round(seconds_incr, 3),
-        "speedup": round(seconds_scratch / max(seconds_pruned, 1e-9), 3),
-        "speedup_incremental": round(
-            seconds_scratch / max(seconds_incr, 1e-9), 3
+        "speedup": round(seconds_scratch / max(seconds_prod, 1e-9), 3),
+        "identical": (
+            record["identical"] and _canonical(scratch) == _canonical(prod)
         ),
-        "speedup_bound_abort": round(
-            seconds_scratch / max(seconds_bound, 1e-9), 3
-        ),
-        "identical": identical,
     })
     return normalize_record(record)
 
@@ -276,7 +233,10 @@ def merge_records(path: pathlib.Path, fresh: list) -> list:
     Every surviving record -- freshly measured or previously committed
     -- is normalized against :data:`RECORD_SCHEMA`, so records written
     before a leg existed gain its keys (as ``null``) instead of
-    leaving the file with drifting per-record shapes.
+    leaving the file with drifting per-record shapes.  A re-measured
+    record keeps its predecessor's ``transport_sweep``: no leg
+    re-measures it, and EXPERIMENTS.md cites it as the evidence that
+    deleted the process-pool scorer.
     """
     existing = []
     if path.exists():
@@ -284,7 +244,12 @@ def merge_records(path: pathlib.Path, fresh: list) -> list:
     by_key = {(r["example"], r["scale"]): normalize_record(r)
               for r in existing}
     for record in fresh:
-        by_key[(record["example"], record["scale"])] = normalize_record(record)
+        key = (record["example"], record["scale"])
+        previous = by_key.get(key)
+        record = normalize_record(record)
+        if previous is not None and record["transport_sweep"] is None:
+            record["transport_sweep"] = previous["transport_sweep"]
+        by_key[key] = record
     return [by_key[k] for k in sorted(by_key)]
 
 
@@ -294,9 +259,9 @@ def check_regression(records: list, baseline_path: pathlib.Path,
 
     Records with a measured ``speedup`` compare it against the
     baseline's.  Records without one (``--skip-scratch`` rows, where
-    the from-scratch leg is too slow to run) are *not* skipped: their
-    ``seconds_pruned`` wall time is compared against the previous
-    pruned wall time instead, failing when the new run is more than
+    the reference leg is too slow to run) are *not* skipped: their
+    production wall time (``seconds_bound_abort``) is compared against
+    the previous one instead, failing when the new run is more than
     ``max_regression`` slower.  A record is only ever skipped when the
     baseline has no comparable leg at all.
     """
@@ -316,15 +281,17 @@ def check_regression(records: list, baseline_path: pathlib.Path,
                        floor, ref["speedup"], round(max_regression * 100))
                 )
             continue
-        # Pruned-vs-previous-pruned fallback for skip-scratch rows.
-        seconds = record.get("seconds_pruned")
-        ref_seconds = ref.get("seconds_pruned")
+        # Production-vs-previous-production fallback for
+        # skip-scratch rows.
+        seconds = record.get("seconds_bound_abort")
+        ref_seconds = ref.get("seconds_bound_abort")
         if seconds is None or ref_seconds is None:
             continue
         ceiling = ref_seconds * (1.0 + max_regression)
         if seconds > ceiling:
             failures.append(
-                "%s@%s: pruned %.2fs above %.2fs (baseline %.2fs + %d%%)"
+                "%s@%s: production %.2fs above %.2fs "
+                "(baseline %.2fs + %d%%)"
                 % (record["example"], record["scale"], seconds,
                    ceiling, ref_seconds, round(max_regression * 100))
             )
@@ -341,15 +308,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                         help="output JSON (default BENCH_inner_loop.json)")
     parser.add_argument("--skip-scratch", action="store_true",
-                        help="record only the pruned run (no baselines, "
-                             "no speedup) -- for large workloads")
+                        help="record only the production legs (no "
+                             "reference leg, no speedup) -- for large "
+                             "workloads")
     parser.add_argument("--skip-warm", action="store_true",
                         help="drop the warm-start / exact-hit legs")
-    parser.add_argument("--timeline", choices=("auto", "list", "tree"),
-                        default="auto",
-                        help="timeline implementation for the engine legs "
-                             "(default auto; results are identical either "
-                             "way -- this is a timing axis)")
     parser.add_argument("--check-against", type=pathlib.Path, default=None,
                         metavar="BASELINE.json",
                         help="fail when speedup regresses vs this file")
@@ -362,13 +325,11 @@ def main(argv=None) -> int:
         print("%s @ scale %g" % (name, args.scale))
         record = bench_example(name, args.scale,
                                skip_scratch=args.skip_scratch,
-                               timeline=args.timeline,
                                skip_warm=args.skip_warm,
                                store_parent=args.out.resolve().parent)
         if record["speedup"] is not None:
-            print("  speedup: %.2fx (engine only %.2fx), identical: %s" % (
-                record["speedup"], record["speedup_incremental"],
-                record["identical"]))
+            print("  speedup: %.2fx, identical: %s" % (
+                record["speedup"], record["identical"]))
         if record["speedup_warm_start"] is not None:
             print("  warm-start speedup: %.2fx, exact hit: %.4fs" % (
                 record["speedup_warm_start"], record["seconds_exact_hit"]))
@@ -383,7 +344,7 @@ def main(argv=None) -> int:
     status = 0
     broken = [r for r in fresh if not r["identical"]]
     if broken:
-        print("ERROR: optimized results differ from from-scratch for: %s"
+        print("ERROR: production results differ from the reference for: %s"
               % ", ".join(r["example"] for r in broken))
         status = 1
     if args.check_against is not None:

@@ -9,7 +9,7 @@ percentage.  The paper reports savings of 25.9-56.7 %.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional
 
 from repro.core.config import CrusadeConfig
@@ -78,20 +78,7 @@ def run_table2_row(
         config = CrusadeConfig()
     if spec is None:
         spec = build_example(example, scale=scale, library=library)
-    baseline_config = CrusadeConfig(
-        reconfiguration=False,
-        clustering=config.clustering,
-        max_explicit_copies=config.max_explicit_copies,
-        max_cluster_size=config.max_cluster_size,
-        delay_policy=config.delay_policy,
-        preemption=config.preemption,
-        max_existing_options=config.max_existing_options,
-        fast_inner_loop=config.fast_inner_loop,
-        link_strategies=config.link_strategies,
-        incremental=config.incremental,
-        prune=config.prune,
-        policy=config.policy,
-    )
+    baseline_config = replace(config, reconfiguration=False)
     without = crusade(spec, library=library, config=baseline_config)
     with_reconfig = crusade(spec, library=library, config=config, baseline=without)
     return Table2Row(

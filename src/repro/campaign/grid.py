@@ -5,13 +5,13 @@ retry/timeout policy.  :func:`expand_jobs` turns the grid into its
 list of independent :class:`~repro.campaign.jobs.Job` units in a
 deterministic order (examples outermost, then scales, then variants),
 each with a stable human-readable id like
-``table2:A1TR@0.05:pruned``.  Job ids are the keys of the checkpoint
+``table2:A1TR@0.05:from-scratch``.  Job ids are the keys of the checkpoint
 log, so expansion refuses grids that would produce duplicates.
 
-Variants map onto :class:`repro.core.config.CrusadeConfig` knobs; the
-named presets in :data:`VARIANT_PRESETS` cover the kill-switch
-matrix (pruning and the incremental engine on/off) that the
-benchmark ablations sweep.
+Variants map onto :class:`repro.core.config.CrusadeConfig` knobs,
+checked against its fields when the variant is built; the named
+presets in :data:`VARIANT_PRESETS` cover the reference-mode leg
+(``from-scratch``) and the policy ablation.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from repro.campaign.jobs import JOB_KINDS, Job
 #: allocation biggest-first instead of by priority.
 VARIANT_PRESETS: Dict[str, Dict[str, Any]] = {
     "default": {},
-    "pruned": {"prune": True, "incremental": True},
-    "no-prune": {"prune": False},
-    "no-incremental": {"incremental": False},
-    "from-scratch": {"prune": False, "incremental": False},
+    "from-scratch": {"incremental": False},
     "largest-first": {"policy": "largest-first"},
 }
 
@@ -42,8 +39,23 @@ class Variant:
     """One named configuration column of the grid."""
 
     name: str
-    #: CrusadeConfig keyword overrides (e.g. ``{"prune": False}``).
+    #: CrusadeConfig keyword overrides (e.g. ``{"incremental": False}``).
     config: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Reject overrides that name no ``CrusadeConfig`` field, so a
+        typo fails at load instead of in every job."""
+        from dataclasses import fields
+
+        from repro.core.config import CrusadeConfig
+
+        known = {f.name for f in fields(CrusadeConfig)}
+        unknown = sorted(key for key in self.config if key not in known)
+        if unknown:
+            raise SpecificationError(
+                "variant %r: unknown config field %s"
+                % (self.name, ", ".join(repr(k) for k in unknown))
+            )
 
     @classmethod
     def preset(cls, name: str) -> "Variant":
@@ -189,7 +201,8 @@ class CampaignSpec:
 
 
 def job_id(kind: str, example: str, scale: float, variant: str) -> str:
-    """The stable id of one grid cell, e.g. ``table2:A1TR@0.05:pruned``."""
+    """The stable id of one grid cell, e.g.
+    ``table2:A1TR@0.05:from-scratch``."""
     return "%s:%s@%g:%s" % (kind, example, scale, variant)
 
 

@@ -69,20 +69,9 @@ def _add_synthesize(subparsers) -> None:
     p.add_argument("--trace", metavar="TRACE.jsonl",
                    help="stream structured trace events to a JSON-lines file")
     p.add_argument("--no-incremental", action="store_true",
-                   help="disable the incremental evaluation engine "
-                        "(schedule caching + copy-on-write inner loop)")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable admissible candidate pruning "
-                        "(evaluate every allocation candidate)")
-    p.add_argument("--no-bound-abort", action="store_true",
-                   help="disable incumbent-driven bound aborts "
-                        "(evaluate every candidate to completion)")
-    p.add_argument("--timeline", choices=("auto", "list", "tree"),
-                   default="auto",
-                   help="scheduler timeline implementation: flat bisected "
-                        "lists ('list'), blocked index ('tree'), or "
-                        "length-switched ('auto', default); results are "
-                        "identical either way")
+                   help="reference mode: the from-scratch inner loop "
+                        "with no engine, pruning or bound aborts "
+                        "(results are identical either way)")
     p.add_argument("--profile", type=int, default=0, metavar="N",
                    help="run synthesis under cProfile, print the top-N "
                         "cumulative functions and write "
@@ -241,7 +230,8 @@ def _add_submit(subparsers) -> None:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=JSON",
                    help="config override (repeatable), e.g. "
-                        "--set reconfiguration=false --set prune=true")
+                        "--set reconfiguration=false "
+                        "--set max_explicit_copies=2")
     p.add_argument("--timeout", type=float, default=600.0, metavar="S",
                    help="client-side budget for the full exchange")
     p.add_argument("--out", metavar="FILE", default=None,
@@ -327,9 +317,6 @@ def _cmd_synthesize(args) -> int:
         reconfiguration=not args.no_reconfig,
         max_explicit_copies=args.copies,
         incremental=not args.no_incremental,
-        prune=not args.no_prune,
-        bound_abort=not args.no_bound_abort,
-        timeline=args.timeline,
         cache_dir=args.cache_dir,
         warm_start=not args.no_warm_start,
     )

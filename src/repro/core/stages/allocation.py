@@ -3,12 +3,12 @@
 Clusters are allocated in policy order.  For each cluster an
 allocation array of candidate placements is built (cheapest first,
 re-ordered by the policy's candidate preference) and scored in order
-by one of two interchangeable paths -- the copy-on-write engine path,
-or the clone path when the engine is off -- both feeding the same
-:class:`CandidateSelection` core, so the first-feasible /
-least-infeasible choice is byte-identical regardless of path.  The
-winning candidate is committed and priorities are recomputed with the
-new allocation.
+by one of two interchangeable paths -- the copy-on-write engine path
+with pruning and bound aborts, or the clone path of the reference mode
+-- both feeding the same :class:`CandidateSelection` core, so the
+first-feasible / least-infeasible choice is byte-identical regardless
+of path.  The winning candidate is committed and priorities are
+recomputed with the new allocation.
 
 When no candidate is feasible the least-infeasible one is kept
 (heuristics can fail; the final result is flagged infeasible), with
@@ -163,8 +163,7 @@ class Allocation(Stage):
                 self.score_cow(ctx, cluster, options, strategy, selection,
                                pruner)
             else:
-                self.score_serial(ctx, cluster, options, strategy, selection,
-                                  pruner)
+                self.score_serial(ctx, cluster, options, strategy, selection)
             if selection.done:
                 break
         self.resolve_fallback(ctx, cluster, selection)
@@ -303,9 +302,9 @@ class Allocation(Stage):
         options: List,
         strategy: str,
         selection: CandidateSelection,
-        pruner: Optional[CandidatePruner],
     ) -> None:
-        """Score options serially, each on its own cloned architecture."""
+        """Score options serially, each on its own cloned architecture
+        (the reference mode: no pruning, no bound aborts)."""
         for option in options:
             ctx.tracer.incr("alloc.options.considered")
             selection.advance()
@@ -324,29 +323,16 @@ class Allocation(Stage):
                 if ctx.fast
                 else None
             )
-            if pruner is not None:
-                cut = pruner.bound(trial, option, graphs, ctx.tracer)
-                if cut is not None:
-                    ctx.tracer.incr("prune.cut")
-                    ctx.tracer.incr("prune.cut." + cut.reason)
-                    selection.defer_pruned(cut.floor, option, strategy)
-                    continue
-                ctx.tracer.incr("prune.kept")
-            try:
-                verdict = evaluate_architecture(
-                    ctx.spec,
-                    ctx.assoc,
-                    ctx.clustering,
-                    trial,
-                    ctx.priorities,
-                    preemption=ctx.config.preemption,
-                    graphs=graphs,
-                    tracer=ctx.tracer,
-                    bound=self.incumbent_bound(ctx, selection),
-                )
-            except ScheduleAbort as abort:
-                self.count_abort(ctx, abort.reason)
-                continue
+            verdict = evaluate_architecture(
+                ctx.spec,
+                ctx.assoc,
+                ctx.clustering,
+                trial,
+                ctx.priorities,
+                preemption=ctx.config.preemption,
+                graphs=graphs,
+                tracer=ctx.tracer,
+            )
             if verdict.feasible:
                 selection.choose(verdict)
                 break

@@ -174,6 +174,7 @@ def repair_pass(
             )
             for option in options:
                 tracer.incr("repair.rehomings_tried")
+                handle = None
                 if engine is not None:
                     try:
                         handle = apply_option_cow(
@@ -183,44 +184,7 @@ def repair_pass(
                     except AllocationError:
                         continue
                     tracer.incr("perf.cow.applies")
-                    try:
-                        if repair_bound is not None:
-                            floor = repair_bound.badness_floor(stripped)
-                            if floor >= current.badness():
-                                tracer.incr("prune.cut")
-                                tracer.incr("prune.cut.repair")
-                                continue
-                            tracer.incr("prune.kept")
-                            tracer.incr("prune.kept.repair")
-                        try:
-                            verdict = evaluate_architecture(
-                                spec,
-                                assoc,
-                                clustering,
-                                stripped,
-                                priorities,
-                                preemption=config.preemption,
-                                tracer=tracer,
-                                engine=engine,
-                                bound=abort_bound(round_best),
-                            )
-                        except ScheduleAbort as abort:
-                            tracer.incr("sched.abort")
-                            tracer.incr("sched.abort." + abort.reason)
-                            continue
-                        # Materialize the applied state only for
-                        # verdicts the selection below will keep.
-                        if verdict.report.all_met or (
-                            verdict.badness() < current.badness()
-                            and (
-                                round_best is None
-                                or verdict.badness() < round_best.badness()
-                            )
-                        ):
-                            verdict = replace(verdict, arch=stripped.clone())
-                    finally:
-                        handle.revert()
-                        tracer.incr("perf.cow.reverts")
+                    trial = stripped
                 else:
                     trial = stripped.clone()
                     try:
@@ -229,6 +193,7 @@ def repair_pass(
                         )
                     except AllocationError:
                         continue
+                try:
                     if repair_bound is not None:
                         floor = repair_bound.badness_floor(trial)
                         if floor >= current.badness():
@@ -246,12 +211,30 @@ def repair_pass(
                             priorities,
                             preemption=config.preemption,
                             tracer=tracer,
+                            engine=engine,
                             bound=abort_bound(round_best),
                         )
                     except ScheduleAbort as abort:
                         tracer.incr("sched.abort")
                         tracer.incr("sched.abort." + abort.reason)
                         continue
+                    # Materialize a copy-on-write applied state only
+                    # for verdicts the selection below will keep.
+                    if handle is not None and (
+                        verdict.report.all_met
+                        or (
+                            verdict.badness() < current.badness()
+                            and (
+                                round_best is None
+                                or verdict.badness() < round_best.badness()
+                            )
+                        )
+                    ):
+                        verdict = replace(verdict, arch=stripped.clone())
+                finally:
+                    if handle is not None:
+                        handle.revert()
+                        tracer.incr("perf.cow.reverts")
                 if verdict.report.all_met:
                     current = verdict
                     solved = True

@@ -60,9 +60,10 @@ SERVICE_SCHEMA_VERSION = 1
 KNOWN_CATALOGS = ("default",)
 
 #: ``CrusadeConfig`` fields a request's ``config`` map may override:
-#: every JSON-scalar knob of the synthesis semantics plus the proven
-#: byte-identity-preserving performance knobs.  Deliberately absent:
-#: ``cache_dir``/``warm_start`` (the server owns its store),
+#: every JSON-scalar knob of the synthesis semantics.  Deliberately
+#: absent: the identity-neutral fields (``incremental``, ``cache_dir``,
+#: ``warm_start`` -- the store key ignores them, so an override could
+#: only slow the client's own miss, and the server owns its store),
 #: ``delay_policy``/``link_strategies`` (structured values with no
 #: JSON contract yet).  Maps field name to the accepted JSON types.
 SERVICE_CONFIG_FIELDS: Dict[str, tuple] = {
@@ -76,10 +77,6 @@ SERVICE_CONFIG_FIELDS: Dict[str, tuple] = {
     "fast_threshold_tasks": (int,),
     "combine_modes": (bool,),
     "interface_retries": (int,),
-    "incremental": (bool,),
-    "prune": (bool,),
-    "timeline": (str,),
-    "bound_abort": (bool,),
     "policy": (str,),
 }
 

@@ -1,9 +1,8 @@
 """Performance layer for the synthesis inner loop.
 
 Cooperating pieces, all observable through ``perf.*`` / ``prune.*``
-tracer counters and each individually killable
-(``CrusadeConfig.incremental=False`` / ``REPRO_NO_INCREMENTAL=1``,
-``CrusadeConfig.prune=False`` / ``REPRO_NO_PRUNE=1``):
+tracer counters and all switched off together by the reference mode
+(``CrusadeConfig.incremental=False`` / ``REPRO_NO_INCREMENTAL=1``):
 
 * :mod:`repro.perf.fingerprint` -- partitions the specification's
   graphs into resource-coupled components and fingerprints each
@@ -24,10 +23,10 @@ tracer counters and each individually killable
   by ``warm_start=False`` / ``REPRO_NO_WARM_START=1``;
 * :mod:`repro.perf.fasttimeline` / :mod:`repro.perf.treetimeline` --
   the fast implementations of the :class:`repro.sched.timeline`
-  abstract timelines: bisect-indexed flat lists, and the blocked
-  index for long fragmented timelines, selected per run by
-  ``CrusadeConfig.timeline`` (``REPRO_TIMELINE`` overrides) and held
-  byte-identical by the differential oracle in ``tests/sched``.
+  abstract timelines: bisect-indexed flat lists that convert to a
+  blocked index once a timeline grows long, held byte-identical to
+  the reference timelines by the differential oracle in
+  ``tests/sched``.
 
 All paths are byte-identical to the from-scratch pipeline; the
 property suites in ``tests/perf`` assert it.
@@ -44,14 +43,9 @@ from repro.perf.prune import (
     CandidatePruner,
     PruneVerdict,
     RepairBound,
-    prune_disabled_by_env,
     pruning_active,
 )
-from repro.perf.treetimeline import (
-    TreePpeModeTimeline,
-    TreeTimeline,
-    resolve_timeline,
-)
+from repro.perf.treetimeline import TreeTimeline
 
 __all__ = [
     "AppliedOption",
@@ -62,11 +56,8 @@ __all__ = [
     "component_fingerprint",
     "incremental_disabled_by_env",
     "partition_components",
-    "prune_disabled_by_env",
     "pruning_active",
     "resolve_engine",
-    "resolve_timeline",
-    "TreePpeModeTimeline",
     "TreeTimeline",
     "undo_journal",
 ]

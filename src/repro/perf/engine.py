@@ -39,8 +39,9 @@ scheduler but roughly twice as fast, which is where the engine's
 speedup comes from when fingerprints never repeat.
 
 The engine is enabled by default (``CrusadeConfig.incremental``) and
-killed by ``incremental=False`` or the ``REPRO_NO_INCREMENTAL=1``
-environment variable.  All cache traffic is reported through the
+killed, together with pruning and bound aborts, by the reference mode
+(``incremental=False`` or the ``REPRO_NO_INCREMENTAL=1`` environment
+variable).  All cache traffic is reported through the
 tracer as ``perf.schedule.hits`` / ``perf.schedule.misses`` /
 ``perf.schedule.evictions`` and ``perf.plan.hits`` /
 ``perf.plan.misses``.
@@ -122,20 +123,17 @@ class IncrementalEngine:
     safe.
     """
 
-    def __init__(self, max_entries: int = 32, timeline: str = "auto") -> None:
+    def __init__(self, max_entries: int = 32) -> None:
         """Create an empty engine holding up to ``max_entries``
-        cached fragments (LRU beyond that), scheduling onto
-        ``timeline``-mode timelines (``"list" | "tree" | "auto"``,
-        see :mod:`repro.perf.treetimeline`)."""
+        cached fragments (LRU beyond that)."""
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._fragments: "OrderedDict[tuple, Fragment]" = OrderedDict()
         #: Cross-run scheduler caches (plans, routes, transfer times)
-        #: plus the timeline factory pair -- the engine's second, and
-        #: on workloads whose graphs all couple through shared
-        #: resources its main, source of reuse.
-        self.context = SchedulerContext(timeline=timeline)
+        #: -- the engine's second, and on workloads whose graphs all
+        #: couple through shared resources its main, source of reuse.
+        self.context = SchedulerContext()
         self._lock = threading.Lock()
         self._cluster_map: Optional[
             Tuple[ClusteringResult, Dict[str, list]]
@@ -380,15 +378,26 @@ def incremental_disabled_by_env() -> bool:
     return value not in ("", "0")
 
 
+def incremental_active(config) -> bool:
+    """Whether the acceleration layers run under ``config``.
+
+    ``config.incremental=False`` and ``REPRO_NO_INCREMENTAL=1`` both
+    select the reference mode: no engine, no pruning, no bound aborts.
+    """
+    return bool(getattr(config, "incremental", True)) and not (
+        incremental_disabled_by_env()
+    )
+
+
 def resolve_engine(config, engine: Optional[IncrementalEngine] = None):
     """The engine a ``crusade`` call should use, or None.
 
-    ``config.incremental=False`` and ``REPRO_NO_INCREMENTAL=1`` both
-    force the from-scratch path even when a caller donates an engine
-    (the nested baseline synthesis shares its parent's).
+    Reference mode (see :func:`incremental_active`) forces the
+    from-scratch path even when a caller donates an engine (the nested
+    baseline synthesis shares its parent's).
     """
-    if not getattr(config, "incremental", True) or incremental_disabled_by_env():
+    if not incremental_active(config):
         return None
     if engine is not None:
         return engine
-    return IncrementalEngine(timeline=getattr(config, "timeline", "auto"))
+    return IncrementalEngine()

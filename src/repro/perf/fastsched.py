@@ -22,15 +22,17 @@ above across runs:
   create/delete, including copy-on-write reverts);
 * **transfer-time memos** for ``LinkType.comm_time`` and the
   best-case estimator used for virtually placed endpoints;
-* the :class:`repro.perf.fasttimeline.FastTimeline` factory for
-  processor and link timelines.
+* the production timeline factories:
+  :class:`repro.perf.treetimeline.TreeTimeline` for processor and
+  link timelines, :class:`repro.perf.fasttimeline.FastPpeModeTimeline`
+  for programmable devices.
 
 :func:`build_schedule_planned` is a transcription of the legacy
 scheduling loop over those cached structures.  Every decision input --
 heap keys, iteration orders, epsilon comparisons, tie-breaks -- is
 preserved, so the resulting schedule is byte-identical; the
 equivalence suite (tests/perf) pins this down against the legacy
-path.  The kill switches disable the engine and with it this path.
+path.  The reference mode disables the engine and with it this path.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import AllocationError, SchedulingError
 from repro.reconfig.reboot import default_boot_time
 from repro.resources.pe import PEKind
-from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
-from repro.perf.treetimeline import resolve_timeline
+from repro.perf.fasttimeline import FastPpeModeTimeline
+from repro.perf.treetimeline import TreeTimeline
 from repro.sched import tlrecord
 from repro.sched.finish_time import _OVERLOAD_TOLERANCE
 from repro.units import TIME_EPS
@@ -175,22 +177,17 @@ def _build_plan(request) -> _Plan:
 class SchedulerContext:
     """Cross-run scheduler caches owned by one incremental engine.
 
-    ``timeline`` selects the timeline implementation pair for every
-    schedule this context builds -- ``"list"`` (bisected flat lists),
-    ``"tree"`` (blocked index from the first interval) or ``"auto"``
-    (blocked past a length threshold); see
-    :func:`repro.perf.treetimeline.resolve_timeline` for the rules and
-    the ``REPRO_TIMELINE`` override.
+    Every schedule this context builds uses :class:`~repro.perf.
+    treetimeline.TreeTimeline` (flat, converting to the blocked index
+    past its length threshold) for serial resources and
+    :class:`~repro.perf.fasttimeline.FastPpeModeTimeline` for
+    programmable devices.
     """
 
-    timeline_cls = FastTimeline
-    ppe_timeline_cls = FastPpeModeTimeline
-
-    def __init__(self, timeline: str = "auto") -> None:
-        """Create empty plan/route/transfer-time caches building
-        ``timeline``-mode timelines."""
-        self.timeline_mode = timeline
-        self.timeline_cls, self.ppe_timeline_cls = resolve_timeline(timeline)
+    def __init__(self) -> None:
+        """Create empty plan/route/transfer-time caches."""
+        self.timeline_cls = TreeTimeline
+        self.ppe_timeline_cls = FastPpeModeTimeline
         self.recorder = None
         record_to = tlrecord.trace_path()
         if record_to is not None:

@@ -34,14 +34,12 @@ Four bounds are used:
   fallback search skip pruned candidates that cannot beat the
   incumbent least-infeasible choice.
 
-Kill switches: ``CrusadeConfig(prune=False)`` or the
-``REPRO_NO_PRUNE=1`` environment variable restore exhaustive
-evaluation; ``REPRO_NO_NUMPY=1`` (or an absent numpy) drops the
-vectorized DP kernel for the bit-identical pure-python loop.  This
-module also hosts the activation predicate for incumbent-driven bound
-aborts (``CrusadeConfig(bound_abort=False)`` /
-``REPRO_NO_BOUND_ABORT=1``), which mirror the prune switch matrix.
-Counter traffic: ``prune.cut`` / ``prune.kept`` plus per-reason
+Pruning and incumbent-driven bound aborts (whose activation predicate
+lives here too) run everywhere but the reference mode
+(``CrusadeConfig(incremental=False)`` / ``REPRO_NO_INCREMENTAL=1``),
+which evaluates every candidate to completion.  Without numpy the
+floors use the bit-identical pure-python loop.  Counter traffic:
+``prune.cut`` / ``prune.kept`` plus per-reason
 ``prune.cut.deadline`` / ``prune.cut.overload`` /
 ``prune.cut.repair`` / ``prune.cut.merge``, and
 ``prune.fallback_evals`` / ``prune.fallback_skipped`` for the
@@ -50,7 +48,6 @@ deferred least-infeasible reconstruction.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.architecture import Architecture
@@ -58,19 +55,10 @@ from repro.cluster.clustering import Cluster, ClusteringResult
 from repro.graph.association import AssociationArray
 from repro.graph.spec import SystemSpec
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.perf.engine import incremental_active
 from repro.resources.pe import PEKind
-from repro.sched.bounds import (
-    deadline_floor_stats,
-    demand_floor,
-    numpy_disabled_by_env,  # noqa: F401  (re-exported kill-switch probe)
-)
+from repro.sched.bounds import deadline_floor_stats, demand_floor
 from repro.sched.finish_time import _OVERLOAD_TOLERANCE
-
-#: Environment kill switch: disable pruning, evaluate every candidate.
-KILL_SWITCH_ENV = "REPRO_NO_PRUNE"
-
-#: Environment kill switch: disable incumbent-driven bound aborts.
-ABORT_KILL_SWITCH_ENV = "REPRO_NO_BOUND_ABORT"
 
 #: Relative margin applied to demand floors before calling a resource
 #: overloaded: the evaluator sums per-task busy times in schedule
@@ -84,30 +72,17 @@ DEMAND_MARGIN = 1e-6
 _SUM_DEFLATE = 1.0 - 1e-6
 
 
-def prune_disabled_by_env() -> bool:
-    """True when the environment kill switch is set (non-empty, not 0)."""
-    value = os.environ.get(KILL_SWITCH_ENV, "")
-    return value not in ("", "0")
-
-
 def pruning_active(config) -> bool:
-    """Whether the driver should prune under ``config``."""
-    return bool(getattr(config, "prune", True)) and not prune_disabled_by_env()
-
-
-def bound_abort_disabled_by_env() -> bool:
-    """True when the bound-abort kill switch is set (non-empty, not 0)."""
-    value = os.environ.get(ABORT_KILL_SWITCH_ENV, "")
-    return value not in ("", "0")
+    """Whether the driver should prune under ``config``: everywhere
+    but the reference mode."""
+    return incremental_active(config)
 
 
 def bound_abort_active(config) -> bool:
     """Whether evaluations should carry incumbent bounds under
-    ``config`` (see :class:`repro.sched.scheduler.ScheduleAbort`)."""
-    return (
-        bool(getattr(config, "bound_abort", True))
-        and not bound_abort_disabled_by_env()
-    )
+    ``config`` (see :class:`repro.sched.scheduler.ScheduleAbort`):
+    everywhere but the reference mode."""
+    return incremental_active(config)
 
 
 class PruneVerdict:

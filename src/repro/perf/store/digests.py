@@ -10,11 +10,10 @@ keys are stable across processes and machines:
 * :func:`catalog_digest` -- over every PE/link type's dataclass
   fields, name-sorted;
 * :func:`config_digest` -- over the *semantic* ``CrusadeConfig``
-  fields only: knobs that are proven byte-identity-preserving
-  (``incremental``, ``prune``, ``timeline``, ``bound_abort``) and the
-  store's own plumbing
-  (``cache_dir``, ``warm_start``) are excluded, so a pruned run can
-  serve an exact hit to an unpruned resubmission of the same problem;
+  fields only: the byte-identity-preserving reference switch
+  (``incremental``) and the store's own plumbing (``cache_dir``,
+  ``warm_start``) are excluded, so a production run can serve an
+  exact hit to a reference-mode resubmission of the same problem;
 * :func:`fingerprint_digest` -- over a component value fingerprint
   (:func:`repro.perf.fingerprint.component_fingerprint`), turning the
   in-memory cache key into a file name.
@@ -54,9 +53,6 @@ STORE_SCHEMA_VERSION = 1
 #: fracture the key space without ever distinguishing results.
 IDENTITY_NEUTRAL_CONFIG_FIELDS = frozenset({
     "incremental",
-    "prune",
-    "timeline",
-    "bound_abort",
     "cache_dir",
     "warm_start",
 })

@@ -45,7 +45,6 @@ apply a small relative margin (see :mod:`repro.perf.prune`).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, Optional, Tuple
@@ -65,10 +64,6 @@ try:  # numpy accelerates the DP sweeps; everything falls back cleanly
 except Exception:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
-#: Environment kill switch: force the pure-python floor sweeps even
-#: when numpy is importable (mirrors REPRO_NO_PRUNE / _NO_INCREMENTAL).
-NUMPY_KILL_SWITCH_ENV = "REPRO_NO_NUMPY"
-
 #: Below this many tasks the per-level numpy calls cost more than the
 #: python loop they replace; both paths return bit-identical stats, so
 #: mixing by size is safe.
@@ -78,23 +73,6 @@ NUMPY_MIN_TASKS = 32
 #: window-ordering argument needs the successor's occupancy to be
 #: strictly positive even after rounding.
 BOOT_BOUND_MIN_DURATION = 1e-6
-
-
-def numpy_disabled_by_env() -> bool:
-    """True when the numpy kill switch is set (non-empty, not 0)."""
-    value = os.environ.get(NUMPY_KILL_SWITCH_ENV, "")
-    return value not in ("", "0")
-
-
-def _numpy():
-    """The numpy module when importable and not killed, else None.
-
-    Checked per call (not import time) so tests and operators can flip
-    ``REPRO_NO_NUMPY`` without re-importing the package.
-    """
-    if _np is None or numpy_disabled_by_env():
-        return None
-    return _np
 
 
 def best_case_exec_time(task, pe: Optional[PEInstance]) -> float:
@@ -194,7 +172,7 @@ class _GraphFloorKernel:
     ``base + exec``, ``est + deadline``) is mirrored as an elementwise
     float64 addition of the same operands -- so the resulting stats
     are identical to the pure-python pass, and mixing the two paths by
-    graph size or kill switch cannot change synthesis decisions.
+    graph size or numpy availability cannot change synthesis decisions.
     """
 
     def __init__(self, np_, graph: TaskGraph, clustering: ClusteringResult):
@@ -436,12 +414,12 @@ def deadline_floor_stats(
     for each deadline-carrying task, ``finish_time_floor - (est +
     deadline)``, counted/summed when above ``TIME_EPS``.  Runs the
     vectorized kernel for graphs of :data:`NUMPY_MIN_TASKS` tasks or
-    more when numpy is importable and ``REPRO_NO_NUMPY`` is unset;
-    both paths produce bit-identical results (see
-    :class:`_GraphFloorKernel`), so the fallback is a pure kill
-    switch, never a behavior change.
+    more when numpy is importable (``_np`` is read per call, so tests
+    can patch it to None); both paths produce bit-identical results
+    (see :class:`_GraphFloorKernel`), so the fallback never changes
+    behavior.
     """
-    np_ = _numpy()
+    np_ = _np
     if np_ is not None and len(graph) >= NUMPY_MIN_TASKS:
         kernel = _kernel_for(np_, graph, clustering)
         return kernel.stats(arch, boot_time_fn or default_boot_time)

@@ -22,7 +22,7 @@ def _spec(**overrides):
         kind="selftest",
         examples=("a", "b"),
         scales=(0.05, 0.1),
-        variants=(Variant("default"), Variant("no-prune", {"prune": False})),
+        variants=(Variant("default"), Variant("scratch", {"incremental": False})),
     )
     defaults.update(overrides)
     return CampaignSpec(**defaults)
@@ -34,9 +34,9 @@ def test_expansion_is_the_full_grid_in_axis_order():
     # examples outermost, then scales, then variants
     assert [j.id for j in jobs[:4]] == [
         "selftest:a@0.05:default",
-        "selftest:a@0.05:no-prune",
+        "selftest:a@0.05:scratch",
         "selftest:a@0.1:default",
-        "selftest:a@0.1:no-prune",
+        "selftest:a@0.1:scratch",
     ]
     assert len({j.id for j in jobs}) == len(jobs)
 
@@ -44,12 +44,12 @@ def test_expansion_is_the_full_grid_in_axis_order():
 def test_variant_config_reaches_jobs():
     jobs = expand_jobs(_spec())
     by_id = {j.id: j for j in jobs}
-    assert by_id["selftest:a@0.05:no-prune"].config == {"prune": False}
+    assert by_id["selftest:a@0.05:scratch"].config == {"incremental": False}
     assert by_id["selftest:a@0.05:default"].config == {}
 
 
 def test_duplicate_variant_names_are_rejected():
-    spec = _spec(variants=(Variant("v"), Variant("v", {"prune": False})))
+    spec = _spec(variants=(Variant("v"), Variant("v", {"incremental": False})))
     with pytest.raises(SpecificationError, match="duplicate job id"):
         expand_jobs(spec)
 
@@ -83,26 +83,36 @@ def test_retry_policy_backoff_is_bounded_exponential():
 
 
 def test_variant_presets_cover_the_kill_switch_matrix():
-    assert set(VARIANT_PRESETS) >= {
-        "default", "pruned", "no-prune", "no-incremental", "from-scratch"
-    }
+    assert set(VARIANT_PRESETS) == {"default", "from-scratch", "largest-first"}
     v = Variant.preset("from-scratch")
-    assert v.config == {"prune": False, "incremental": False}
+    assert v.config == {"incremental": False}
     with pytest.raises(SpecificationError, match="unknown variant preset"):
         Variant.preset("turbo")
 
 
+@pytest.mark.parametrize("key", ["prun", "prune"])
+def test_unknown_variant_config_field_is_rejected_at_load(key):
+    """A typo or a removed field fails when the campaign loads, naming
+    the key, instead of as a TypeError in every job."""
+    payload = _spec().to_dict()
+    payload["variants"] = [{"name": "v", "config": {key: False}}]
+    with pytest.raises(SpecificationError, match="'%s'" % key):
+        CampaignSpec.from_dict(payload)
+
+
 def test_spec_from_flags_uses_presets():
     spec = spec_from_flags(
-        "ci", "table2", ["A1TR", "HROST"], [0.05], ["pruned"]
+        "ci", "table2", ["A1TR", "HROST"], [0.05], ["from-scratch"]
     )
     jobs = expand_jobs(spec)
     assert [j.id for j in jobs] == [
-        "table2:A1TR@0.05:pruned",
-        "table2:HROST@0.05:pruned",
+        "table2:A1TR@0.05:from-scratch",
+        "table2:HROST@0.05:from-scratch",
     ]
+    assert jobs[0].config == {"incremental": False}
 
 
 def test_job_id_format_is_stable():
-    assert job_id("table2", "A1TR", 0.05, "pruned") == "table2:A1TR@0.05:pruned"
+    assert job_id("table2", "A1TR", 0.05, "from-scratch") == \
+        "table2:A1TR@0.05:from-scratch"
     assert job_id("table3", "NGXM", 1.0, "default") == "table3:NGXM@1:default"

@@ -1,5 +1,8 @@
 """The staged pipeline: runner semantics and policy hooks."""
 
+import importlib
+from dataclasses import replace
+
 import pytest
 
 from repro import CrusadeConfig, Tracer, crusade
@@ -212,3 +215,53 @@ class TestPolicyHooks:
         assert vetoed.merges_accepted == 0
         assert vetoed.merges_rejected >= 1
         assert vetoed.result.cost == initial.cost
+
+
+#: A caller config with every field the hand-copied baseline configs
+#: once dropped set away from its default.
+CALLER_CONFIG = CrusadeConfig(
+    max_explicit_copies=2, fast_threshold_tasks=5, combine_modes=False,
+    interface_retries=2, policy="largest-first",
+)
+
+
+class TestBaselineConfig:
+    """The reconfiguration-free baseline runs the caller's config with
+    only ``reconfiguration`` flipped."""
+
+    def test_nested_baseline_inherits_the_callers_config(
+        self, synthetic_spec, monkeypatch
+    ):
+        seen = []
+        begin = SynthesisContext.begin.__func__
+
+        def spy(cls, spec, **kwargs):
+            seen.append(kwargs["config"])
+            return begin(cls, spec, **kwargs)
+
+        monkeypatch.setattr(SynthesisContext, "begin", classmethod(spy))
+        crusade(synthetic_spec, config=CALLER_CONFIG)
+        assert seen == [
+            CALLER_CONFIG, replace(CALLER_CONFIG, reconfiguration=False)
+        ]
+
+    @pytest.mark.parametrize(
+        "table, driver", [("table2", "crusade"), ("table3", "crusade_ft")]
+    )
+    def test_table_baseline_inherits_the_callers_config(
+        self, table, driver, synthetic_spec, monkeypatch
+    ):
+        module = importlib.import_module("repro.bench." + table)
+        real = getattr(module, driver)
+        seen = []
+
+        def spy(spec, **kwargs):
+            seen.append(kwargs["config"])
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(module, driver, spy)
+        run_row = getattr(module, "run_%s_row" % table)
+        run_row("synthetic", config=CALLER_CONFIG, spec=synthetic_spec)
+        assert seen == [
+            replace(CALLER_CONFIG, reconfiguration=False), CALLER_CONFIG
+        ]

@@ -1,8 +1,8 @@
 """Incumbent-driven bound aborts are pure dominance, not a heuristic.
 
 Property suite fuzzing generated workloads: the synthesized result
-must be byte-identical with bound aborts on, off, and killed via the
-environment -- an aborted candidate provably loses to the incumbent
+must be byte-identical with bound aborts on, patched off (engine and
+pruning left on), and in the reference mode -- an aborted candidate provably loses to the incumbent
 that bounded it, so dropping it can never change the selection.  Unit
 tests pin the trigger itself: the scheduler raises
 :class:`ScheduleAbort` with the right reason the moment the partial
@@ -12,6 +12,8 @@ is given.
 
 import json
 import os
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -33,11 +35,8 @@ from repro.core.crusade import _compute_priorities
 from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.io.result_json import result_to_dict
-from repro.perf.prune import (
-    ABORT_KILL_SWITCH_ENV,
-    bound_abort_active,
-    bound_abort_disabled_by_env,
-)
+from repro.perf.engine import KILL_SWITCH_ENV
+from repro.perf.prune import bound_abort_active
 from repro.sched.scheduler import (
     ScheduleAbort,
     ScheduleRequest,
@@ -68,12 +67,27 @@ def canonical(spec, tracer=None, **config_kw):
     return json.dumps(payload, sort_keys=True)
 
 
+def canonical_without(spec, predicates, **config_kw):
+    """``canonical`` with the named activation ``predicates``
+    (``pruning_active``, ``bound_abort_active``) patched to False and
+    every other layer on (no config knob isolates them; the reference
+    mode drops both together with the engine)."""
+    with ExitStack() as stack:
+        for predicate in predicates:
+            for module in ("allocation", "repair"):
+                stack.enter_context(mock.patch(
+                    "repro.core.stages.%s.%s" % (module, predicate),
+                    lambda config: False,
+                ))
+        return canonical(spec, **config_kw)
+
+
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=40), reconfig=st.booleans())
 def test_bound_abort_equals_exhaustive(seed, reconfig):
     spec = make_spec(seed)
-    bounded = canonical(spec, reconfiguration=reconfig, bound_abort=True)
-    full = canonical(spec, reconfiguration=reconfig, bound_abort=False)
+    bounded = canonical(spec, reconfiguration=reconfig)
+    full = canonical_without(spec, ["bound_abort_active"], reconfiguration=reconfig)
     assert bounded == full
 
 
@@ -86,33 +100,32 @@ def test_bound_abort_equals_exhaustive_under_pressure(seed):
         seed=seed, n_graphs=3, tasks_per_graph=7, compat_group_size=2,
         utilization=1.0, hw_only_fraction=0.1, mixed_fraction=0.1,
     ))
-    assert canonical(spec, bound_abort=True) == \
-        canonical(spec, bound_abort=False)
+    assert canonical(spec) == canonical_without(spec, ["bound_abort_active"])
 
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=20))
 def test_bound_abort_composes_with_prune_off(seed):
-    """The two dominance layers are independent knobs."""
+    """The two dominance layers are independent of each other."""
     spec = make_spec(seed)
-    assert canonical(spec, bound_abort=True, prune=False) == \
-        canonical(spec, bound_abort=False, prune=False)
+    assert canonical_without(spec, ["pruning_active"]) == \
+        canonical_without(spec, ["pruning_active", "bound_abort_active"])
 
 
 def test_env_kill_switch_equals_config_off():
+    """``REPRO_NO_INCREMENTAL`` turns bound aborts off exactly like
+    ``incremental=False`` does."""
     spec = make_spec(7, utilization=1.0)
-    enabled = canonical(spec, bound_abort=True)
-    os.environ[ABORT_KILL_SWITCH_ENV] = "1"
+    enabled = canonical(spec)
+    os.environ[KILL_SWITCH_ENV] = "1"
     try:
-        assert bound_abort_disabled_by_env()
-        assert not bound_abort_active(CrusadeConfig(bound_abort=True))
-        killed = canonical(spec, bound_abort=True)
+        assert not bound_abort_active(CrusadeConfig())
+        killed = canonical(spec)
     finally:
-        del os.environ[ABORT_KILL_SWITCH_ENV]
-    assert not bound_abort_disabled_by_env()
-    assert bound_abort_active(CrusadeConfig(bound_abort=True))
-    assert not bound_abort_active(CrusadeConfig(bound_abort=False))
-    assert canonical(spec, bound_abort=False) == killed
+        del os.environ[KILL_SWITCH_ENV]
+    assert bound_abort_active(CrusadeConfig())
+    assert not bound_abort_active(CrusadeConfig(incremental=False))
+    assert canonical(spec, incremental=False) == killed
     assert enabled == killed
 
 
@@ -132,33 +145,13 @@ def _pressure_counters(**config_kw):
 
 def test_abort_counters_under_pressure():
     """The pinned high-pressure workload actually aborts, the reason
-    counters partition the total, and disabling the knob zeroes it."""
-    c = _pressure_counters(bound_abort=True)
+    counters partition the total, and the reference mode zeroes it."""
+    c = _pressure_counters()
     assert c.get("sched.abort", 0) > 0
     reasons = sum(v for k, v in c.items() if k.startswith("sched.abort."))
     assert reasons == c["sched.abort"]
-    off = _pressure_counters(bound_abort=False)
+    off = _pressure_counters(incremental=False)
     assert off.get("sched.abort", 0) == 0
-
-
-def test_abort_counters_match_across_engine_paths():
-    """The trigger is an exact integer comparison on final violation
-    counts, so the engine and from-scratch paths abort the *same*
-    evaluations -- the totals and every decision counter match.  Only
-    the per-reason split may differ: the engine books an abort tipped
-    by a cached fragment as "carried", which the from-scratch run
-    attributes to the violation it re-discovers in-run."""
-    names = ("sched.abort", "alloc.options.considered",
-             "alloc.options.infeasible", "prune.cut", "prune.kept")
-    cow = _pressure_counters(bound_abort=True, incremental=True)
-    clone = _pressure_counters(bound_abort=True, incremental=False)
-    assert cow.get("sched.abort", 0) > 0
-    for name in names:
-        assert cow.get(name, 0) == clone.get(name, 0), name
-    for c in (cow, clone):
-        reasons = sum(v for k, v in c.items() if k.startswith("sched.abort."))
-        assert reasons == c["sched.abort"]
-    assert clone.get("sched.abort.carried", 0) == 0
 
 
 # ---------------------------------------------------------------- units

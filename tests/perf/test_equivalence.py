@@ -30,8 +30,6 @@ DECISION_COUNTERS = (
     "alloc.clusters.fallback",
     "alloc.options.considered",
     "alloc.options.apply_failed",
-    "alloc.options.infeasible",
-    "alloc.evaluations",
     "repair.rounds",
     "repair.rehomings_tried",
     "repair.rehomings_kept",
@@ -105,6 +103,10 @@ def test_decision_counters_match_from_scratch(seed, reconfig):
     incremental = counters(True)
     for name in DECISION_COUNTERS:
         assert scratch.counter(name) == incremental.counter(name), name
+    # Evaluation counts are bookkeeping: the reference mode evaluates
+    # every candidate production prunes or aborts, never fewer.
+    for name in ("alloc.options.infeasible", "alloc.evaluations"):
+        assert scratch.counter(name) >= incremental.counter(name), name
     # Every engine scheduler run is a fragment-cache miss (one run per
     # component, vs one per evaluation from scratch -- so the counts
     # are not comparable across modes, but this equality is exact).

@@ -3,10 +3,9 @@
 ``deadline_floor_stats`` routes large graphs through a numpy kernel
 whose stats must be *bit-identical* to the pure-python DP -- identical
 operand-for-operand float arithmetic, not merely close.  These tests
-pin that parity on real generated workloads, prove the
-``REPRO_NO_NUMPY`` kill switch restores the python path end to end,
-and exercise the guarded import surfaced through
-:mod:`repro.perf.prune` for the no-numpy CI job.
+pin that parity on real generated workloads and prove that an absent
+numpy (patched here as ``repro.sched.bounds._np = None``) restores the
+python path end to end.
 """
 
 import json
@@ -25,12 +24,7 @@ from repro.cluster.clustering import trivial_clustering
 from repro.io.result_json import result_to_dict
 from repro.resources.catalog import default_library
 from repro.sched import bounds
-from repro.sched.bounds import (
-    NUMPY_KILL_SWITCH_ENV,
-    NUMPY_MIN_TASKS,
-    deadline_floor_stats,
-    numpy_disabled_by_env,
-)
+from repro.sched.bounds import NUMPY_MIN_TASKS, deadline_floor_stats
 
 numpy = pytest.importorskip("numpy")
 
@@ -69,7 +63,7 @@ def _allocated_setup(seed, stride=1):
 def test_kernel_stats_bit_identical_to_python(seed, stride, monkeypatch):
     graph, arch, clustering = _allocated_setup(seed, stride)
     fast = deadline_floor_stats(graph, arch, clustering)
-    monkeypatch.setenv(NUMPY_KILL_SWITCH_ENV, "1")
+    monkeypatch.setattr(bounds, "_np", None)
     slow = deadline_floor_stats(graph, arch, clustering)
     # Tuple equality on (int, float): bit parity, no tolerance.
     assert fast == slow
@@ -110,30 +104,19 @@ def canonical(spec, **config_kw):
 
 def test_synthesis_identical_under_kill_switch(monkeypatch):
     """End to end: a workload whose graphs dispatch to the kernel
-    synthesizes the same architecture with numpy killed."""
+    synthesizes the same architecture without numpy."""
     spec = big_spec(9, utilization=0.8)
     fast = canonical(spec)
-    monkeypatch.setenv(NUMPY_KILL_SWITCH_ENV, "1")
-    assert numpy_disabled_by_env()
+    monkeypatch.setattr(bounds, "_np", None)
     assert canonical(spec) == fast
 
 
-def test_kill_switch_probe_semantics(monkeypatch):
-    monkeypatch.delenv(NUMPY_KILL_SWITCH_ENV, raising=False)
-    assert not numpy_disabled_by_env()
-    for value, disabled in (("", False), ("0", False),
-                            ("1", True), ("yes", True)):
-        monkeypatch.setenv(NUMPY_KILL_SWITCH_ENV, value)
-        assert numpy_disabled_by_env() is disabled
-    monkeypatch.setenv(NUMPY_KILL_SWITCH_ENV, "1")
-    assert bounds._numpy() is None
-    monkeypatch.delenv(NUMPY_KILL_SWITCH_ENV)
-    assert bounds._numpy() is numpy
-
-
-def test_guarded_import_surfaced_via_prune():
-    """The no-numpy CI job imports the probe through the pruning
-    facade; the floor machinery must not require numpy at import."""
-    from repro.perf.prune import numpy_disabled_by_env as surfaced
-
-    assert surfaced is numpy_disabled_by_env
+def test_absent_numpy_skips_the_kernel(monkeypatch):
+    """Without numpy, graphs above the dispatch threshold take the
+    python loop: no kernel is ever built."""
+    graph, arch, clustering = _allocated_setup(5)
+    assert len(graph) >= NUMPY_MIN_TASKS
+    monkeypatch.setattr(bounds, "_np", None)
+    bounds._kernel_cache.clear()
+    deadline_floor_stats(graph, arch, clustering)
+    assert not bounds._kernel_cache

@@ -1,9 +1,9 @@
 """Candidate pruning is dominance pruning, not a heuristic.
 
 Property suite fuzzing generated workloads: the synthesized result
-must be byte-identical with pruning on, off, and killed via the
-environment -- including workloads that drive the deferred
-least-infeasible fallback reconstruction.  Unit tests pin the bound
+must be byte-identical with pruning on, patched off (engine and bound
+aborts left on), and in the reference mode -- including workloads that
+drive the deferred least-infeasible fallback reconstruction.  Unit tests pin the bound
 primitives: a deliberately deadline-infeasible candidate is cut
 without any scheduler call, and the finish-time floor never exceeds
 the real schedule.
@@ -11,6 +11,8 @@ the real schedule.
 
 import json
 import types
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,13 +32,8 @@ from repro.cluster.clustering import trivial_clustering
 from repro.graph.association import AssociationArray
 from repro.graph.task import MemoryRequirement
 from repro.io.result_json import result_to_dict
-from repro.perf.prune import (
-    KILL_SWITCH_ENV,
-    CandidatePruner,
-    RepairBound,
-    prune_disabled_by_env,
-    pruning_active,
-)
+from repro.perf.engine import KILL_SWITCH_ENV
+from repro.perf.prune import CandidatePruner, RepairBound, pruning_active
 from repro.sched.bounds import (
     best_case_exec_vector,
     demand_floor,
@@ -67,13 +64,25 @@ def canonical(spec, tracer=None, **config_kw):
     return json.dumps(payload, sort_keys=True)
 
 
+def exhaustive(spec, **config_kw):
+    """``canonical`` with pruning patched off and every other layer on
+    (no config knob isolates pruning; the reference mode drops it
+    together with the engine and bound aborts)."""
+    with ExitStack() as stack:
+        for module in ("allocation", "repair"):
+            stack.enter_context(mock.patch(
+                "repro.core.stages.%s.pruning_active" % module,
+                lambda config: False,
+            ))
+        return canonical(spec, **config_kw)
+
+
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=40), reconfig=st.booleans())
 def test_pruned_equals_exhaustive(seed, reconfig):
     spec = make_spec(seed)
-    pruned = canonical(spec, reconfiguration=reconfig, prune=True)
-    exhaustive = canonical(spec, reconfiguration=reconfig, prune=False)
-    assert pruned == exhaustive
+    pruned = canonical(spec, reconfiguration=reconfig)
+    assert pruned == exhaustive(spec, reconfiguration=reconfig)
 
 
 @PROPERTY_SETTINGS
@@ -86,24 +95,27 @@ def test_pruned_equals_exhaustive_under_pressure(seed):
         seed=seed, n_graphs=3, tasks_per_graph=7, compat_group_size=2,
         utilization=1.0, hw_only_fraction=0.1, mixed_fraction=0.1,
     ))
-    assert canonical(spec, prune=True) == canonical(spec, prune=False)
+    assert canonical(spec) == exhaustive(spec)
 
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=20))
 def test_env_kill_switch_equals_config_off(seed):
+    """``REPRO_NO_INCREMENTAL`` turns pruning off exactly like
+    ``incremental=False`` does."""
     import os
 
     spec = make_spec(seed)
-    enabled = canonical(spec, prune=True)
+    enabled = canonical(spec)
+    assert pruning_active(CrusadeConfig())
+    assert not pruning_active(CrusadeConfig(incremental=False))
     os.environ[KILL_SWITCH_ENV] = "1"
     try:
-        assert prune_disabled_by_env()
-        assert not pruning_active(CrusadeConfig(prune=True))
-        killed = canonical(spec, prune=True)
+        assert not pruning_active(CrusadeConfig())
+        killed = canonical(spec)
     finally:
         del os.environ[KILL_SWITCH_ENV]
-    assert canonical(spec, prune=False) == killed
+    assert canonical(spec, incremental=False) == killed
     assert enabled == killed
 
 
@@ -136,13 +148,13 @@ def test_prune_cuts_and_counters_balance():
 
 
 def test_decision_counters_match_across_engine_paths():
-    """Prune decisions are identical between the copy-on-write and
-    clone-based inner loops."""
-    spec = make_spec(3)
+    """The production loop and the reference mode consider the same
+    candidates and fall back on the same clusters; only production
+    prunes."""
+    spec = make_spec(3, utilization=1.0)
     names = (
-        "prune.cut", "prune.kept", "prune.fallback_evals",
-        "prune.fallback_skipped", "alloc.options.considered",
-        "alloc.options.infeasible",
+        "alloc.options.considered", "alloc.options.apply_failed",
+        "alloc.clusters.fallback",
     )
 
     def counters(incremental):
@@ -153,8 +165,10 @@ def test_decision_counters_match_across_engine_paths():
 
     cow = counters(True)
     clone = counters(False)
+    assert cow.get("prune.cut", 0) > 0
     for name in names:
         assert cow.get(name, 0) == clone.get(name, 0), name
+    assert not any(name.startswith("prune.") for name in clone)
 
 
 # ---------------------------------------------------------------- units

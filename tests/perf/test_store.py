@@ -104,9 +104,6 @@ class TestDigests:
         base = CrusadeConfig()
         for variant in (
             CrusadeConfig(incremental=False),
-            CrusadeConfig(prune=False),
-            CrusadeConfig(bound_abort=False),
-            CrusadeConfig(timeline="tree"),
             CrusadeConfig(cache_dir="/tmp/x", warm_start=False),
         ):
             assert config_digest(variant) == config_digest(base)

@@ -115,7 +115,7 @@ class TestExactHit:
         hit = crusade(
             spec,
             config=CrusadeConfig(
-                cache_dir=str(tmp_path), incremental=False, prune=False
+                cache_dir=str(tmp_path), incremental=False
             ),
             tracer=tracer,
         )

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.perf.fasttimeline import FastPpeModeTimeline, FastTimeline
-from repro.perf.treetimeline import TreePpeModeTimeline, TreeTimeline
+from repro.perf.treetimeline import TreeTimeline
 from repro.sched.timeline import IntervalTimeline, PpeModeTimeline
 
 
@@ -61,7 +61,6 @@ SERIAL_FACTORIES: Dict[str, Callable[[], IntervalTimeline]] = {
 PPE_FACTORIES: Dict[str, Callable[[], PpeModeTimeline]] = {
     "linear": PpeModeTimeline,
     "fast": FastPpeModeTimeline,
-    "tree": TreePpeModeTimeline,
 }
 
 

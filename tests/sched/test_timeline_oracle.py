@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import repro.perf.treetimeline as treetimeline
-from repro.perf.treetimeline import TreeTimeline, resolve_timeline
+from repro.perf.treetimeline import TreeTimeline
 from repro.units import TIME_EPS
 from tests.sched.oracle import (
     PpeDifferential,
@@ -263,34 +263,20 @@ class TestRegressions:
 
 
 class TestResolveTimeline:
-    """Mode selection and the environment kill switch."""
+    """The timelines the engine path resolves to and schedules on."""
 
-    def test_modes(self):
-        for mode in ("list", "tree", "auto"):
-            serial_cls, ppe_cls = resolve_timeline(mode)
-            assert callable(serial_cls) and callable(ppe_cls)
+    def test_engine_context_builds_the_production_pair(self, monkeypatch):
+        from repro.perf.fastsched import SchedulerContext
+        from repro.perf.fasttimeline import FastPpeModeTimeline
+        from repro.sched.tlrecord import TRACE_ENV
 
-    def test_unknown_mode_raises(self):
-        from repro.errors import SchedulingError
-
-        with pytest.raises(SchedulingError):
-            resolve_timeline("btree")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(treetimeline.TIMELINE_ENV, "list")
-        serial_cls, _ = resolve_timeline("tree")
-        from repro.perf.fasttimeline import FastTimeline
-
-        assert serial_cls is FastTimeline
-
-    def test_env_typo_ignored(self, monkeypatch):
-        monkeypatch.setenv(treetimeline.TIMELINE_ENV, "treeee")
-        serial_cls, _ = resolve_timeline("auto")
-        assert serial_cls is TreeTimeline
+        monkeypatch.delenv(TRACE_ENV, raising=False)
+        context = SchedulerContext()
+        assert context.timeline_cls is TreeTimeline
+        assert context.ppe_timeline_cls is FastPpeModeTimeline
 
     def test_eager_tree_converts_immediately(self):
-        serial_cls, _ = resolve_timeline("tree")
-        tl = serial_cls()
+        tl = TreeTimeline(convert_at=0)
         tl.occupy(0.0, 1.0, ("a",))
         assert type(tl).__name__ == "_BlockedTimeline"
 

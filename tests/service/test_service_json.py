@@ -37,9 +37,9 @@ def errors_of(payload):
 
 
 def test_build_request_round_trips_through_validation():
-    spec, overrides = validate_request(valid_payload(prune=True))
+    spec, overrides = validate_request(valid_payload(policy="largest-first"))
     assert spec.name == "svc-tiny"
-    assert overrides == {"prune": True}
+    assert overrides == {"policy": "largest-first"}
 
 
 def test_request_from_spec_payload_matches_build_request():
@@ -67,6 +67,20 @@ def test_unknown_config_field_is_rejected_not_ignored():
     assert "config.cache_dir" in error and "non-overridable" in error
 
 
+def test_identity_neutral_and_removed_perf_fields_are_rejected():
+    """The reference switch is identity-neutral (an override could only
+    slow the client's own miss) and the per-layer knobs are gone: all
+    four come back in one collected 400."""
+    payload = valid_payload()
+    names = ("bound_abort", "incremental", "prune", "timeline")
+    payload["config"] = {"bound_abort": False, "incremental": False,
+                         "prune": False, "timeline": "list"}
+    assert errors_of(payload) == [
+        "config.%s: unknown or non-overridable field" % name
+        for name in names
+    ]
+
+
 def test_boolean_does_not_pass_an_integer_knob():
     payload = valid_payload()
     payload["config"] = {"max_explicit_copies": True}
@@ -76,7 +90,7 @@ def test_boolean_does_not_pass_an_integer_knob():
 
 def test_wrongly_typed_and_unknown_config_errors_accumulate():
     payload = valid_payload()
-    payload["config"] = {"prune": "yes", "zoom": 1}
+    payload["config"] = {"clustering": "yes", "zoom": 1}
     errors = errors_of(payload)
     assert len(errors) == 2
 

@@ -55,12 +55,20 @@ class TestCli:
         code = main(["synthesize", str(spec_file), "--no-reconfig", "--copies", "2"])
         assert code == 0
 
-    def test_synthesize_no_prune(self, spec_file, capsys):
+    def test_synthesize_no_incremental(self, spec_file, capsys):
         code = main([
-            "synthesize", str(spec_file), "--copies", "2", "--no-prune",
+            "synthesize", str(spec_file), "--copies", "2", "--no-incremental",
         ])
         assert code == 0
         assert "feasible: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", ["--no-prune", "--no-bound-abort", "--timeline=list"]
+    )
+    def test_removed_layer_flags_are_rejected(self, spec_file, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synthesize", str(spec_file), flag])
+        assert excinfo.value.code == 2
 
     def test_synthesize_profile(self, spec_file, tmp_path, capsys):
         out = tmp_path / "r.json"
