@@ -52,8 +52,9 @@ Run directly (not under pytest)::
         --example A1TR --scale 0.1
 
 Records merge by (example, scale) so repeated runs update in place.
-``--check-against`` compares the measured speedups to a committed
-baseline file and exits non-zero on a regression beyond
+``--check-against`` compares each fresh record to a committed
+baseline file and exits non-zero when a deterministic field
+(:data:`EXACT_FIELDS`) differs or the speedup regresses beyond
 ``--max-regression`` (CI's guard).
 """
 
@@ -107,6 +108,13 @@ RECORD_SCHEMA = {
     "feasible": None,
     "identical": None,
 }
+
+
+#: Record fields that are deterministic for an (example, scale): the
+#: work counters and the synthesized cost.  Any difference from the
+#: baseline is a behaviour change, never noise, so the gate compares
+#: them exactly.
+EXACT_FIELDS = ("sched_runs", "prune_cut", "sched_abort", "cost")
 
 
 def normalize_record(record: dict) -> dict:
@@ -255,9 +263,10 @@ def merge_records(path: pathlib.Path, fresh: list) -> list:
 
 def check_regression(records: list, baseline_path: pathlib.Path,
                      max_regression: float) -> list:
-    """Speedup regressions beyond tolerance vs. a committed baseline.
+    """Changed work and speedup regressions vs. a committed baseline.
 
-    Records with a measured ``speedup`` compare it against the
+    Every :data:`EXACT_FIELDS` value the baseline records must match
+    exactly.  Records with a measured ``speedup`` compare it against the
     baseline's.  Records without one (``--skip-scratch`` rows, where
     the reference leg is too slow to run) are *not* skipped: their
     production wall time (``seconds_bound_abort``) is compared against
@@ -272,6 +281,13 @@ def check_regression(records: list, baseline_path: pathlib.Path,
         ref = reference.get((record["example"], record["scale"]))
         if ref is None:
             continue
+        for key in EXACT_FIELDS:
+            if ref.get(key) is not None and record.get(key) != ref[key]:
+                failures.append(
+                    "%s@%s: %s %r differs from baseline %r"
+                    % (record["example"], record["scale"], key,
+                       record.get(key), ref[key])
+                )
         if record.get("speedup") is not None and ref.get("speedup") is not None:
             floor = ref["speedup"] * (1.0 - max_regression)
             if record["speedup"] < floor:
@@ -315,7 +331,8 @@ def main(argv=None) -> int:
                         help="drop the warm-start / exact-hit legs")
     parser.add_argument("--check-against", type=pathlib.Path, default=None,
                         metavar="BASELINE.json",
-                        help="fail when speedup regresses vs this file")
+                        help="fail on changed work counters or cost, or "
+                             "a speedup regression, vs this file")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="tolerated fractional speedup loss (default .25)")
     args = parser.parse_args(argv)

@@ -180,12 +180,25 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a payload that is not an object
+        or lacks a grid field raises :class:`SpecificationError`."""
+        if not isinstance(payload, Mapping):
+            raise SpecificationError(
+                "not a campaign spec (a JSON %s)" % type(payload).__name__
+            )
         schema = payload.get("schema", CAMPAIGN_SCHEMA_VERSION)
         if schema != CAMPAIGN_SCHEMA_VERSION:
             raise SpecificationError(
                 "campaign schema %r unsupported (this build reads %d)"
                 % (schema, CAMPAIGN_SCHEMA_VERSION)
+            )
+        missing = [
+            key for key in ("name", "kind", "examples", "scales")
+            if key not in payload
+        ]
+        if missing:
+            raise SpecificationError(
+                "campaign spec lacks %s" % ", ".join(map(repr, missing))
             )
         return cls(
             name=payload["name"],

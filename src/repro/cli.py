@@ -295,24 +295,27 @@ def _profile_path(args, spec) -> str:
     return name
 
 
-def _load_spec_arg(path: str):
-    """The spec at ``path``, or None after printing a one-line error."""
+class _InputError(Exception):
+    """A command-line input that cannot be used; :func:`main` prints it
+    as one ``repro: error: PATH: reason`` line and exits 2."""
+
+
+def _load_input(path: str, load):
+    """``load(path)``, with read, JSON and validation failures raised
+    as one :class:`_InputError` naming ``path``."""
     try:
-        return load_spec_file(path)
+        return load(path)
     except OSError as exc:
         reason = exc.strerror or str(exc)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         reason = "not valid JSON (%s)" % (exc,)
     except SpecificationError as exc:
         reason = str(exc)
-    print("repro: error: %s: %s" % (path, reason), file=sys.stderr)
-    return None
+    raise _InputError("%s: %s" % (path, reason))
 
 
 def _cmd_synthesize(args) -> int:
-    spec = _load_spec_arg(args.spec)
-    if spec is None:
-        return 2
+    spec = _load_input(args.spec, load_spec_file)
     config = CrusadeConfig(
         reconfiguration=not args.no_reconfig,
         max_explicit_copies=args.copies,
@@ -511,7 +514,9 @@ def _cmd_campaign_run(args) -> int:
     from repro.io.campaign_json import load_json
 
     if args.spec is not None:
-        spec = CampaignSpec.from_dict(load_json(args.spec))
+        spec = _load_input(
+            args.spec, lambda path: CampaignSpec.from_dict(load_json(path))
+        )
         spec = CampaignSpec(
             name=spec.name, kind=spec.kind, examples=spec.examples,
             scales=spec.scales, variants=spec.variants,
@@ -546,7 +551,7 @@ def _cmd_campaign_resume(args) -> int:
     from repro.campaign.checkpoint import CampaignDir
     from repro.campaign.runner import run_campaign
 
-    stored = CampaignDir(args.dir).load_spec()
+    stored = _load_input(args.dir, lambda path: CampaignDir(path).load_spec())
     policy = _campaign_policy(args, stored.policy)
     _export_cache_dir(args)
     outcome = run_campaign(
@@ -563,7 +568,7 @@ def _cmd_campaign_resume(args) -> int:
 def _cmd_campaign_status(args) -> int:
     from repro.campaign.runner import campaign_status
 
-    status = campaign_status(args.dir)
+    status = _load_input(args.dir, campaign_status)
     print("campaign %s (%s): %d jobs, %d done, %d failed, %d pending%s"
           % (status["name"], status["kind"], status["jobs"], status["done"],
              len(status["failed"]), len(status["pending"]),
@@ -660,8 +665,16 @@ def _cmd_submit(args) -> int:
     from repro.io.service_json import request_from_spec_payload
     from repro.service.client import ServiceUnreachable, submit
 
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        spec_payload = json.load(handle)
+    def load_object(path):
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise SpecificationError(
+                "not a spec document (a JSON %s)" % type(payload).__name__
+            )
+        return payload
+
+    spec_payload = _load_input(args.spec, load_object)
     config = {}
     for item in args.overrides:
         key, sep, raw = item.partition("=")
@@ -722,7 +735,11 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except _InputError as exc:
+        print("repro: error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -71,8 +71,6 @@ from repro.reconfig.reboot import default_boot_time
 from repro.sched.finish_time import (
     _OVERLOAD_TOLERANCE,
     DeadlineReport,
-    deadline_lateness,
-    resource_demand,
 )
 from repro.sched.scheduler import (
     Schedule,
@@ -294,19 +292,12 @@ class IncrementalEngine:
             bound_base=bound_base,
         )
         schedule = build_schedule(request)
-        # The planned scheduler emits both verdict by-products inline
-        # (same insertion orders, same float accumulation -- see
-        # build_schedule_planned); recompute only when a request fell
-        # back to the legacy path.
-        lateness = getattr(schedule, "planned_lateness", None)
-        if lateness is None:
-            lateness = {
-                name: deadline_lateness(schedule, spec, assoc, [name])
-                for name in component
-            }
-        demand = getattr(schedule, "planned_demand", None)
-        if demand is None:
-            demand = resource_demand(schedule, assoc, set(component))
+        # The engine's context routes every request to the planned
+        # scheduler, which emits both verdict by-products inline (same
+        # insertion orders, same float accumulation -- see
+        # build_schedule_planned).
+        lateness = schedule.planned_lateness
+        demand = schedule.planned_demand
         misses = 0
         for per_graph in lateness.values():
             for value in per_graph.values():

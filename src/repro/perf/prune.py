@@ -14,8 +14,8 @@ Four bounds are used:
 
 * **Finish-time floor** -- the copy-0 critical path over the
   best-case execution vector plus the PPE mode-switch reboot bound
-  (:func:`repro.sched.bounds.deadline_floor_stats`, which runs the
-  same DP as a vectorized numpy kernel on large graphs).  Bit-exactly
+  (:func:`repro.sched.bounds.deadline_floor_stats`, one pure-python
+  longest-path DP over the topological order).  Bit-exactly
   dominated by any real schedule, so ``floor - deadline > TIME_EPS``
   proves a deadline miss with no margin at all.
 * **Demand floor** -- per-resource busy time over the hyperperiod
@@ -37,8 +37,7 @@ Four bounds are used:
 Pruning and incumbent-driven bound aborts (whose activation predicate
 lives here too) run everywhere but the reference mode
 (``CrusadeConfig(incremental=False)`` / ``REPRO_NO_INCREMENTAL=1``),
-which evaluates every candidate to completion.  Without numpy the
-floors use the bit-identical pure-python loop.  Counter traffic:
+which evaluates every candidate to completion.  Counter traffic:
 ``prune.cut`` / ``prune.kept`` plus per-reason
 ``prune.cut.deadline`` / ``prune.cut.overload`` /
 ``prune.cut.repair`` / ``prune.cut.merge``, and

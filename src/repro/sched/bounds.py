@@ -59,16 +59,6 @@ from repro.reconfig.reboot import default_boot_time
 from repro.resources.pe import PEKind
 from repro.units import TIME_EPS
 
-try:  # numpy accelerates the DP sweeps; everything falls back cleanly
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-#: Below this many tasks the per-level numpy calls cost more than the
-#: python loop they replace; both paths return bit-identical stats, so
-#: mixing by size is safe.
-NUMPY_MIN_TASKS = 32
-
 #: Durations at or below this are excluded from the reboot bound: the
 #: window-ordering argument needs the successor's occupancy to be
 #: strictly positive even after rounding.
@@ -156,252 +146,6 @@ def finish_time_floor(
     return floor
 
 
-class _GraphFloorKernel:
-    """Vectorized deadline-floor DP for one (graph, clustering) pair.
-
-    The DAG structure -- topological order, per-level edge groups,
-    cluster membership, deadline rows -- never changes during a
-    synthesis, so it is frozen into index arrays once; each call only
-    rebuilds what the (partial) allocation changes: the per-task
-    duration floor vector and the same-PPE reboot extras.
-
-    Bit-parity with :func:`finish_time_floor` is by construction, not
-    tolerance: ``max`` over floats is exact regardless of grouping
-    (``np.maximum.reduceat`` included), and every addition the python
-    loop performs (``wcet + context_switch``, ``ready + reboot``,
-    ``base + exec``, ``est + deadline``) is mirrored as an elementwise
-    float64 addition of the same operands -- so the resulting stats
-    are identical to the pure-python pass, and mixing the two paths by
-    graph size or numpy availability cannot change synthesis decisions.
-    """
-
-    def __init__(self, np_, graph: TaskGraph, clustering: ClusteringResult):
-        """Freeze the DAG's index arrays for repeated floor sweeps."""
-        self._np = np_
-        self.graph = graph
-        self.clustering = clustering
-        names = graph.topological_order()
-        index = {name: i for i, name in enumerate(names)}
-        tasks = [graph.task(name) for name in names]
-        self._est = graph.est
-        self._min_exec = np_.array(
-            [task.min_exec_time for task in tasks], dtype=float
-        )
-
-        # Cluster membership: node index arrays per distinct cluster.
-        cluster_index: Dict[str, int] = {}
-        cluster_names: list = []
-        cluster_nodes: list = []
-        node_cluster = [-1] * len(names)
-        for i, name in enumerate(names):
-            cname = clustering.task_to_cluster.get((graph.name, name))
-            if cname is None:
-                continue
-            ci = cluster_index.get(cname)
-            if ci is None:
-                ci = cluster_index[cname] = len(cluster_names)
-                cluster_names.append(cname)
-                cluster_nodes.append([])
-            cluster_nodes[ci].append(i)
-            node_cluster[i] = ci
-        self._cluster_names = cluster_names
-        self._cluster_nodes = [
-            np_.array(nodes, dtype=np_.intp) for nodes in cluster_nodes
-        ]
-        self._cluster_tasks = [
-            [tasks[i] for i in nodes] for nodes in cluster_nodes
-        ]
-        #: (cluster index, PE type name) -> wcet vector, built lazily so
-        #: a type a cluster never lands on costs nothing (and cannot
-        #: fault on tasks that do not support it).
-        self._wcet: Dict[tuple, object] = {}
-
-        # Longest-path levels and per-level edge groups for reduceat.
-        levels = [0] * len(names)
-        edges = []  # (level of succ, succ index, pred index)
-        for name in names:
-            i = index[name]
-            level = 0
-            for pred in graph.predecessors(name):
-                p = index[pred]
-                if levels[p] + 1 > level:
-                    level = levels[p] + 1
-                edges.append((p, i))
-            levels[i] = level
-        edges.sort(key=lambda e: (levels[e[1]], e[1]))
-        self._edge_pred = np_.array([e[0] for e in edges], dtype=np_.intp)
-        self._edge_succ = np_.array([e[1] for e in edges], dtype=np_.intp)
-        self._n_edges = len(edges)
-        self._roots = np_.array(
-            [i for i in range(len(names)) if levels[i] == 0], dtype=np_.intp
-        )
-        #: per level >= 1: (edge slice lo, hi, reduceat offsets within
-        #: the slice, succ node array in slice group order).
-        level_groups: list = []
-        pos = 0
-        while pos < len(edges):
-            level = levels[edges[pos][1]]
-            lo = pos
-            offsets = []
-            succs = []
-            last_succ = -1
-            while pos < len(edges) and levels[edges[pos][1]] == level:
-                succ = edges[pos][1]
-                if succ != last_succ:
-                    offsets.append(pos - lo)
-                    succs.append(succ)
-                    last_succ = succ
-                pos += 1
-            level_groups.append((
-                lo, pos,
-                np_.array(offsets, dtype=np_.intp),
-                np_.array(succs, dtype=np_.intp),
-            ))
-        self._levels = level_groups
-
-        #: (pred cluster, succ cluster) -> global edge positions, the
-        #: candidates for the same-PPE reboot extra.
-        pair_edges: Dict[tuple, list] = {}
-        for pos, (p, i) in enumerate(edges):
-            cp, ci = node_cluster[p], node_cluster[i]
-            if cp >= 0 and ci >= 0 and cp != ci:
-                pair_edges.setdefault((cp, ci), []).append(pos)
-        self._pair_edges = {
-            key: np_.array(positions, dtype=np_.intp)
-            for key, positions in pair_edges.items()
-        }
-
-        # Deadline rows in deadline_tasks() order; the absolute
-        # deadline is the same ``est + relative`` float the python
-        # stats loop computes.
-        dl_names = graph.deadline_tasks()
-        self._dl_idx = np_.array(
-            [index[name] for name in dl_names], dtype=np_.intp
-        )
-        self._dl_abs = np_.array(
-            [self._est + graph.effective_deadline(name) for name in dl_names],
-            dtype=float,
-        )
-
-    def _cluster_wcet(self, ci: int, type_name: str):
-        key = (ci, type_name)
-        arr = self._wcet.get(key)
-        if arr is None:
-            arr = self._wcet[key] = self._np.array(
-                [t.wcet_on(type_name) for t in self._cluster_tasks[ci]],
-                dtype=float,
-            )
-        return arr
-
-    def stats(self, arch: Architecture, boot_fn) -> Tuple[int, float]:
-        """(missed deadline count, total lateness) of the floor sweep
-        under ``arch``'s current placements -- bit-identical to the
-        pure-python :func:`finish_time_floor` consumption loop."""
-        np_ = self._np
-        exec_vec = self._min_exec.copy()
-        placed: list = []
-        for ci, cname in enumerate(self._cluster_names):
-            if not arch.is_allocated(cname):
-                placed.append(None)
-                continue
-            pe = arch.pe(arch.placement_of(cname)[0])
-            placed.append(pe)
-            pe_type = pe.pe_type
-            wcet = self._cluster_wcet(ci, pe_type.name)
-            idx = self._cluster_nodes[ci]
-            if pe_type.kind is PEKind.PROCESSOR:
-                exec_vec[idx] = wcet + pe_type.context_switch_time
-            else:
-                exec_vec[idx] = wcet
-
-        # Same-PPE cross-cluster reboot extras (see the module
-        # docstring's window-ordering argument) as a per-edge vector.
-        reboot_vec = None
-        by_pe: Dict[int, tuple] = {}
-        for ci, pe in enumerate(placed):
-            if pe is not None and pe.pe_type.kind not in (
-                PEKind.PROCESSOR, PEKind.ASIC,
-            ):
-                by_pe.setdefault(id(pe), (pe, []))[1].append(ci)
-        for pe, cis in by_pe.values():
-            if len(cis) < 2:
-                continue
-            mode_sets = {
-                ci: pe.modes_of_cluster(self._cluster_names[ci]) for ci in cis
-            }
-            for succ_ci in cis:
-                own = mode_sets[succ_ci]
-                if not own:
-                    continue
-                own_set = set(own)
-                reboot = None
-                for pred_ci in cis:
-                    if pred_ci == succ_ci:
-                        continue
-                    positions = self._pair_edges.get((pred_ci, succ_ci))
-                    if positions is None:
-                        continue
-                    theirs = mode_sets[pred_ci]
-                    if not theirs or own_set & set(theirs):
-                        continue
-                    if reboot is None:
-                        reboot = min(boot_fn(pe, m) for m in own)
-                    if reboot <= 0.0:
-                        break
-                    hot = positions[
-                        exec_vec[self._edge_succ[positions]]
-                        > BOOT_BOUND_MIN_DURATION
-                    ]
-                    if hot.size:
-                        if reboot_vec is None:
-                            reboot_vec = np_.zeros(self._n_edges)
-                        reboot_vec[hot] = reboot
-
-        floor = np_.empty(len(exec_vec))
-        roots = self._roots
-        floor[roots] = self._est + exec_vec[roots]
-        edge_pred = self._edge_pred
-        for lo, hi, offsets, succs in self._levels:
-            ready = floor[edge_pred[lo:hi]]
-            if reboot_vec is not None:
-                ready = ready + reboot_vec[lo:hi]
-            base = np_.maximum(np_.maximum.reduceat(ready, offsets), self._est)
-            floor[succs] = base + exec_vec[succs]
-
-        misses = 0
-        lateness = 0.0
-        if self._dl_idx.size:
-            for late in (floor[self._dl_idx] - self._dl_abs).tolist():
-                if late > TIME_EPS:
-                    misses += 1
-                    lateness += late
-        return misses, lateness
-
-
-#: (id(graph), id(clustering)) -> kernel; the kernel holds strong refs
-#: to both inputs, so id reuse cannot alias a live entry.
-_KERNEL_CACHE_MAX = 64
-_kernel_cache: "OrderedDict[tuple, _GraphFloorKernel]" = OrderedDict()
-_kernel_lock = threading.Lock()
-
-
-def _kernel_for(np_, graph: TaskGraph, clustering: ClusteringResult):
-    key = (id(graph), id(clustering))
-    with _kernel_lock:
-        kernel = _kernel_cache.get(key)
-        if kernel is not None and (
-            kernel.graph is graph and kernel.clustering is clustering
-        ):
-            _kernel_cache.move_to_end(key)
-            return kernel
-    kernel = _GraphFloorKernel(np_, graph, clustering)
-    with _kernel_lock:
-        _kernel_cache[key] = kernel
-        while len(_kernel_cache) > _KERNEL_CACHE_MAX:
-            _kernel_cache.popitem(last=False)
-    return kernel
-
-
 def deadline_floor_stats(
     graph: TaskGraph,
     arch: Architecture,
@@ -412,17 +156,8 @@ def deadline_floor_stats(
 
     The admissible deadline statistic every pruning bound consumes:
     for each deadline-carrying task, ``finish_time_floor - (est +
-    deadline)``, counted/summed when above ``TIME_EPS``.  Runs the
-    vectorized kernel for graphs of :data:`NUMPY_MIN_TASKS` tasks or
-    more when numpy is importable (``_np`` is read per call, so tests
-    can patch it to None); both paths produce bit-identical results
-    (see :class:`_GraphFloorKernel`), so the fallback never changes
-    behavior.
+    deadline)``, counted/summed when above ``TIME_EPS``.
     """
-    np_ = _np
-    if np_ is not None and len(graph) >= NUMPY_MIN_TASKS:
-        kernel = _kernel_for(np_, graph, clustering)
-        return kernel.stats(arch, boot_time_fn or default_boot_time)
     floor = finish_time_floor(graph, arch, clustering, boot_time_fn)
     est = graph.est
     misses = 0
@@ -440,8 +175,7 @@ def deadline_floor_stats(
 #: fixed for a synthesis, so each cluster's per-type total is computed
 #: once -- by the exact sequential loop below, so memoized and fresh
 #: values are the same floats.  ClusteringResult is unhashable, hence
-#: the identity key with the held-object double-check (the same LRU
-#: shape as :data:`_kernel_cache`).
+#: the identity key with the held-object double-check, evicted LRU.
 _DEMAND_CACHE_MAX = 16
 _demand_totals: "OrderedDict[int, tuple]" = OrderedDict()
 _demand_lock = threading.Lock()

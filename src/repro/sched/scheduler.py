@@ -131,14 +131,15 @@ class ScheduleRequest:
         to schedule one resource-coupled component at a time.
     context:
         Optional :class:`repro.perf.fastsched.SchedulerContext`.  When
-        set, scheduling runs over the context's cached plan and its
-        timeline factory pair -- any
-        :class:`~repro.sched.timeline.Timeline` /
-        :class:`~repro.sched.timeline.ModeTimeline` implementation
-        pair selected by ``CrusadeConfig.timeline`` (byte-identical
-        results, enforced by the differential oracle in
-        ``tests/sched``); None keeps the legacy from-scratch path
-        below on the linear reference timelines.
+        set, scheduling runs over the context's cached plan on the
+        production timeline pair
+        (:class:`~repro.perf.treetimeline.TreeTimeline` /
+        :class:`~repro.perf.fasttimeline.FastPpeModeTimeline`); None
+        keeps the from-scratch path below on the reference pair
+        (:class:`~repro.sched.timeline.IntervalTimeline` /
+        :class:`~repro.sched.timeline.PpeModeTimeline`).  Both pairs
+        give byte-identical results, enforced by the differential
+        oracle in ``tests/sched``.
     bound:
         Optional incumbent badness tuple (as returned by
         ``DeadlineReport.badness()`` or ``EvalResult.badness()``;

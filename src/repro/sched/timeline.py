@@ -19,10 +19,13 @@ scheduler and its consumers use.  Three implementations of each exist:
 the naive linear classes here (the reference semantics), the
 bisect-indexed flat-list classes in :mod:`repro.perf.fasttimeline`,
 and the blocked-index classes in :mod:`repro.perf.treetimeline` for
-the long, fragmented timelines of full-scale workloads.  They are
-selected per run by ``CrusadeConfig.timeline`` and are bit-for-bit
-interchangeable (enforced by the differential oracle in
-``tests/sched/oracle.py``).
+the long, fragmented timelines of full-scale workloads.  The pairs
+are fixed, not configurable: production scheduling
+(:class:`repro.perf.fastsched.SchedulerContext`) uses ``TreeTimeline``
+with ``FastPpeModeTimeline``, and the reference mode
+(``CrusadeConfig(incremental=False)``) uses the linear classes here.
+All are bit-for-bit interchangeable (enforced by the differential
+oracle in ``tests/sched/oracle.py``).
 """
 
 from __future__ import annotations
@@ -44,11 +47,11 @@ class Timeline(abc.ABC):
     program against: earliest-gap queries from a ready time, interval
     inserts, the restricted-preemption gap-splitting sweep, and the
     busy/span reductions the reporting layer reads after a run.
-    Implementations are swappable per run (see
-    ``CrusadeConfig.timeline``); the differential oracle in
+    Production and reference mode use different implementations (see
+    the module docstring); the differential oracle in
     ``tests/sched/oracle.py`` holds every registered implementation to
-    bit-identical answers, which is what makes swapping safe under the
-    repo's byte-identity contract.
+    bit-identical answers, which is what keeps the two modes
+    byte-identical.
     """
 
     @abc.abstractmethod

@@ -1,6 +1,7 @@
 """Candidate pruning is dominance pruning, not a heuristic.
 
-Property suite fuzzing generated workloads: the synthesized result
+Property suite fuzzing generated workloads (plus one pinned spec of
+51-task graphs): the synthesized result
 must be byte-identical with pruning on, patched off (engine and bound
 aborts left on), and in the reference mode -- including workloads that
 drive the deferred least-infeasible fallback reconstruction.  Unit tests pin the bound
@@ -15,7 +16,7 @@ from contextlib import ExitStack
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import (
     CrusadeConfig,
@@ -48,9 +49,10 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def make_spec(seed, utilization=0.5):
+def make_spec(seed, utilization=0.5, tasks_per_graph=6):
     return generate_spec(GeneratorConfig(
-        seed=seed, n_graphs=2, tasks_per_graph=6, compat_group_size=2,
+        seed=seed, n_graphs=2, tasks_per_graph=tasks_per_graph,
+        compat_group_size=2,
         utilization=utilization, hw_only_fraction=0.2, mixed_fraction=0.15,
     ))
 
@@ -78,9 +80,15 @@ def exhaustive(spec, **config_kw):
 
 
 @PROPERTY_SETTINGS
-@given(seed=st.integers(min_value=0, max_value=40), reconfig=st.booleans())
-def test_pruned_equals_exhaustive(seed, reconfig):
-    spec = make_spec(seed)
+@given(
+    seed=st.integers(min_value=0, max_value=40),
+    reconfig=st.booleans(),
+    tasks_per_graph=st.just(6),
+)
+# Two 51-task graphs: floor sweeps over large DAGs, with deadline cuts.
+@example(seed=2, reconfig=True, tasks_per_graph=40)
+def test_pruned_equals_exhaustive(seed, reconfig, tasks_per_graph):
+    spec = make_spec(seed, tasks_per_graph=tasks_per_graph)
     pruned = canonical(spec, reconfiguration=reconfig)
     assert pruned == exhaustive(spec, reconfiguration=reconfig)
 

@@ -100,12 +100,9 @@ class TestCli:
         assert path_a != path_b
         assert _profile_path(Args, spec_a) == path_a
 
-    @pytest.mark.parametrize("shape", [
-        "missing", "empty", "truncated", "non-spec",
-    ])
-    def test_synthesize_bad_spec_is_one_error_line(
-        self, shape, spec_file, tmp_path, capsys
-    ):
+    @staticmethod
+    def _bad_input(shape, spec_file, tmp_path):
+        """A path holding one malformed input ``shape``."""
         path = tmp_path / "bad.json"
         if shape == "empty":
             path.write_text("")
@@ -114,11 +111,54 @@ class TestCli:
             path.write_text(text[: len(text) // 2])
         elif shape == "non-spec":
             path.write_text(json.dumps({"hello": "world"}))
-        code = main(["synthesize", str(path)])
+        elif shape == "list":
+            path.write_text(json.dumps([1, 2]))
+        elif shape == "directory":
+            path.mkdir()
+        return path
+
+    @staticmethod
+    def _assert_one_error_line(code, capsys, path):
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1
         assert err.startswith("repro: error: %s: " % path)
+
+    @pytest.mark.parametrize("shape", [
+        "missing", "empty", "truncated", "non-spec",
+    ])
+    def test_synthesize_bad_spec_is_one_error_line(
+        self, shape, spec_file, tmp_path, capsys
+    ):
+        path = self._bad_input(shape, spec_file, tmp_path)
+        code = main(["synthesize", str(path)])
+        self._assert_one_error_line(code, capsys, path)
+
+    @pytest.mark.parametrize("argv, shape", [
+        (["submit", "{path}"], "missing"),
+        (["submit", "{path}"], "truncated"),
+        (["submit", "{path}"], "list"),
+        (["campaign", "run", "{path}", "--dir", "{dir}"], "missing"),
+        (["campaign", "run", "{path}", "--dir", "{dir}"], "truncated"),
+        (["campaign", "run", "{path}", "--dir", "{dir}"], "list"),
+        (["campaign", "run", "{path}", "--dir", "{dir}"], "non-spec"),
+        (["campaign", "resume", "{path}"], "directory"),
+        (["campaign", "resume", "{path}"], "missing"),
+        (["campaign", "status", "{path}"], "directory"),
+    ], ids=lambda value: (
+        "-".join(a for a in value if a.isalpha())
+        if isinstance(value, list) else value
+    ))
+    def test_bad_input_is_one_error_line(
+        self, argv, shape, spec_file, tmp_path, capsys
+    ):
+        """Every command reading a spec file or a campaign directory
+        reports bad input like ``synthesize`` does."""
+        path = self._bad_input(shape, spec_file, tmp_path)
+        code = main([
+            arg.format(path=path, dir=tmp_path / "campaign") for arg in argv
+        ])
+        self._assert_one_error_line(code, capsys, path)
 
     def test_synthesize_ft(self, spec_file, capsys):
         code = main(["synthesize", str(spec_file), "--ft", "--copies", "2"])
