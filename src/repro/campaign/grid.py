@@ -23,6 +23,39 @@ from repro.errors import SpecificationError
 from repro.io.campaign_json import CAMPAIGN_SCHEMA_VERSION
 from repro.campaign.jobs import JOB_KINDS, Job
 
+#: JSON number types for :func:`_field` (``bool`` is refused apart).
+_NUMBER = (int, float)
+
+
+def _field(
+    payload: Mapping[str, Any], key: str, kinds: tuple, what: str,
+    default: Any = None,
+) -> Any:
+    """``payload[key]`` (``default`` when absent), refused with a
+    :class:`SpecificationError` unless it is one of ``kinds``; a JSON
+    ``true``/``false`` never passes as a number."""
+    value = payload.get(key, default)
+    if isinstance(value, kinds) and (
+        bool in kinds or not isinstance(value, bool)
+    ):
+        return value
+    raise SpecificationError(
+        "campaign field %r must be %s, got %r" % (key, what, value)
+    )
+
+
+def _list_field(
+    payload: Mapping[str, Any], key: str, kinds: tuple, what: str,
+    default: Any = None,
+) -> Any:
+    """``payload[key]`` as a list whose every item is one of ``kinds``
+    (see :func:`_field`)."""
+    values = _field(payload, key, (list, tuple), "a list of " + what, default)
+    for value in values:
+        _field({key: value}, key, kinds, "a list of " + what)
+    return values
+
+
 #: Named config variants: CrusadeConfig knob overrides per name.
 #: ``largest-first`` is expressed purely through the pipeline's policy
 #: hooks (see :mod:`repro.core.stages.policies`): it re-orders cluster
@@ -74,9 +107,16 @@ class Variant:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Variant":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a field of the wrong type raises
+        :class:`SpecificationError`."""
+        payload = _field(
+            {"variants": payload}, "variants", (Mapping,), "an object"
+        )
         return cls(
-            name=payload["name"], config=dict(payload.get("config", {}))
+            name=_field(payload, "name", (str,), "a string"),
+            config=dict(_field(
+                payload, "config", (Mapping,), "an object", default={}
+            )),
         )
 
 
@@ -122,12 +162,23 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RetryPolicy":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a field of the wrong type raises
+        :class:`SpecificationError`."""
+        payload = _field(
+            {"policy": payload}, "policy", (Mapping,), "an object"
+        )
         return cls(
-            retries=payload.get("retries", 2),
-            backoff_s=payload.get("backoff_s", 0.5),
-            backoff_cap_s=payload.get("backoff_cap_s", 30.0),
-            timeout_s=payload.get("timeout_s"),
+            retries=_field(payload, "retries", (int,), "an integer", 2),
+            backoff_s=_field(
+                payload, "backoff_s", _NUMBER, "a number", 0.5
+            ),
+            backoff_cap_s=_field(
+                payload, "backoff_cap_s", _NUMBER, "a number", 30.0
+            ),
+            timeout_s=_field(
+                payload, "timeout_s", _NUMBER + (type(None),),
+                "a number or null",
+            ),
         )
 
 
@@ -180,8 +231,9 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict`; a payload that is not an object
-        or lacks a grid field raises :class:`SpecificationError`."""
+        """Inverse of :meth:`to_dict`; a payload that is not an object,
+        lacks a grid field or holds a field of the wrong type raises
+        :class:`SpecificationError`."""
         if not isinstance(payload, Mapping):
             raise SpecificationError(
                 "not a campaign spec (a JSON %s)" % type(payload).__name__
@@ -201,15 +253,25 @@ class CampaignSpec:
                 "campaign spec lacks %s" % ", ".join(map(repr, missing))
             )
         return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            examples=tuple(payload["examples"]),
-            scales=tuple(float(s) for s in payload["scales"]),
+            name=_field(payload, "name", (str,), "a string"),
+            kind=_field(payload, "kind", (str,), "a string"),
+            examples=tuple(
+                _list_field(payload, "examples", (str,), "strings")
+            ),
+            scales=tuple(
+                float(s)
+                for s in _list_field(payload, "scales", _NUMBER, "numbers")
+            ),
             variants=tuple(
-                Variant.from_dict(v) for v in payload.get("variants", [])
+                Variant.from_dict(v)
+                for v in _list_field(
+                    payload, "variants", (Mapping,), "objects", default=[]
+                )
             ) or (Variant("default"),),
             policy=RetryPolicy.from_dict(payload.get("policy", {})),
-            params=dict(payload.get("params", {})),
+            params=dict(
+                _field(payload, "params", (Mapping,), "an object", {})
+            ),
         )
 
 

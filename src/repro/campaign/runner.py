@@ -2,15 +2,13 @@
 
 :func:`run_campaign` drives one campaign to completion: it expands
 the grid, skips jobs the checkpoint log already settled, dispatches
-the rest to persistent workers supervised by
+the rest to persistent forked pipe workers supervised by
 :class:`~repro.exec.supervise.SupervisedWorker` (the execution
-substrate's single crash/timeout/error state machine, over the
-transport ``REPRO_EXEC_TRANSPORT`` resolves -- pipes by default),
-and survives the three failure shapes a long campaign meets --
+substrate's single crash/timeout/error state machine), and survives
+the three failure shapes a long campaign meets --
 
 * **worker crash** (hard process death: segfault, OOM kill,
-  ``os._exit``): detected via the process sentinel / a dead pipe (or,
-  on the socket transport, a dropped connection or stale heartbeat);
+  ``os._exit``): detected via the process sentinel / a dead pipe;
   the worker is respawned and the job re-attempted;
 * **per-job timeout**: a worker past its attempt deadline is killed
   and respawned, and the attempt counts as a failure;

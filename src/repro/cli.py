@@ -26,14 +26,16 @@ Commands
 ``submit SPEC.json``
     Post one specification to a running service and print (or save)
     the response document.
-``worker --connect HOST:PORT``
-    Join a remote service pool as a dial-in worker over the
-    framed-TCP execution substrate (see :mod:`repro.exec`).
+
+Counts are checked where they are parsed: a worker count, retry
+budget or timeout out of range is one argparse usage error (exit 2),
+never a traceback from the pool it would have configured.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -47,6 +49,33 @@ from repro.graph.generator import GeneratorConfig, generate_spec
 from repro.io.result_json import save_result_file
 from repro.io.spec_json import load_spec_file, save_spec_file, spec_to_dict
 from repro.bench.examples import EXAMPLE_NAMES, build_example
+
+
+def _bounded(convert, lowest: float, strict: bool):
+    """An argparse ``type=`` converting with ``convert`` and refusing
+    values below ``lowest`` (or equal to it when ``strict``)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid %s value: %r" % (convert.__name__, text)
+            ) from None
+        if not (value > lowest if strict else value >= lowest):
+            raise argparse.ArgumentTypeError(
+                "must be %s %g, got %r"
+                % (">" if strict else ">=", lowest, text)
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, 0, strict=True)
+_non_negative_int = _bounded(int, 0, strict=False)
+_positive_float = _bounded(float, 0.0, strict=True)
+_non_negative_float = _bounded(float, 0.0, strict=False)
 
 
 def _add_synthesize(subparsers) -> None:
@@ -162,18 +191,22 @@ def _add_campaign(subparsers) -> None:
     )
     status.add_argument("dir", metavar="DIR", help="campaign directory")
     for target in (run, resume):
-        target.add_argument("--workers", type=int, default=1, metavar="N",
+        target.add_argument("--workers", type=_positive_int, default=1,
+                            metavar="N",
                             help="persistent worker processes (default 1)")
         target.add_argument("--cache-dir", metavar="DIR", default=None,
                             help="shared synthesis store for all campaign "
                                  "workers (exported as REPRO_CACHE_DIR so "
                                  "job configs -- and the manifest -- stay "
                                  "byte-identical with or without it)")
-        target.add_argument("--retries", type=int, default=None, metavar="K",
+        target.add_argument("--retries", type=_non_negative_int,
+                            default=None, metavar="K",
                             help="per-job re-attempts before recording failure")
-        target.add_argument("--timeout", type=float, default=None, metavar="S",
+        target.add_argument("--timeout", type=_positive_float, default=None,
+                            metavar="S",
                             help="per-attempt wall-clock budget in seconds")
-        target.add_argument("--backoff", type=float, default=None, metavar="S",
+        target.add_argument("--backoff", type=_non_negative_float,
+                            default=None, metavar="S",
                             help="base retry backoff in seconds (exponential)")
         target.add_argument("--stop-after", type=int, default=None, metavar="N",
                             help="stop after N new terminal jobs (testing)")
@@ -188,36 +221,19 @@ def _add_serve(subparsers) -> None:
                    help="interface to bind (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8100,
                    help="TCP port (0 binds an ephemeral port; default 8100)")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
+    p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
                    help="shard worker processes (default 1)")
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="persistent synthesis store; exact resubmissions "
                         "are served from it without computing")
-    p.add_argument("--retries", type=int, default=1, metavar="K",
+    p.add_argument("--retries", type=_non_negative_int, default=1,
+                   metavar="K",
                    help="per-job re-attempts before a failed response")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_positive_float, default=None,
+                   metavar="S",
                    help="per-attempt wall-clock budget in seconds")
     p.add_argument("--trace", metavar="FILE", default=None,
                    help="stream service.* events as JSON lines to FILE")
-    p.add_argument("--exec-transport", choices=("pipe", "socket"),
-                   default="pipe", dest="exec_transport",
-                   help="shard worker transport: forked pipes (default) "
-                        "or framed TCP sockets (REPRO_EXEC_TRANSPORT "
-                        "overrides)")
-    p.add_argument("--worker-port", type=int, default=None, metavar="PORT",
-                   dest="worker_port",
-                   help="accept remote 'repro worker --connect' shards "
-                        "on this TCP port (0 = ephemeral); with "
-                        "--workers 0 the pool is remote-only")
-
-
-def _add_worker(subparsers) -> None:
-    p = subparsers.add_parser(
-        "worker",
-        help="join a remote pool as a dial-in worker (repro.exec)",
-    )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="address of a pool listening with --worker-port")
 
 
 def _add_submit(subparsers) -> None:
@@ -251,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign(subparsers)
     _add_serve(subparsers)
     _add_submit(subparsers)
-    _add_worker(subparsers)
     experiments = subparsers.add_parser(
         "experiments",
         help="splice the latest benchmarks/results tables into EXPERIMENTS.md",
@@ -275,7 +290,6 @@ def _build_tracer(args):
 def _spec_fingerprint(spec) -> str:
     """A stable short digest of the canonical spec JSON."""
     import hashlib
-    import json
 
     payload = json.dumps(spec_to_dict(spec), sort_keys=True).encode("utf-8")
     return hashlib.sha1(payload).hexdigest()[:12]
@@ -307,9 +321,10 @@ def _load_input(path: str, load):
         return load(path)
     except OSError as exc:
         reason = exc.strerror or str(exc)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    # Both are ValueError subclasses, so they must be caught first.
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         reason = "not valid JSON (%s)" % (exc,)
-    except SpecificationError as exc:
+    except (SpecificationError, ValueError) as exc:
         reason = str(exc)
     raise _InputError("%s: %s" % (path, reason))
 
@@ -615,16 +630,11 @@ def _cmd_serve(args) -> int:
             host=args.host, port=args.port, workers=args.workers,
             cache_dir=args.cache_dir, retries=args.retries,
             timeout_s=args.timeout, tracer=tracer,
-            transport=args.exec_transport, worker_port=args.worker_port,
         )
         await server.start()
         print("serving on http://%s:%d  (workers=%d, cache=%s)"
               % (server.host, server.port, args.workers,
                  args.cache_dir or "off"), flush=True)
-        listen_port = getattr(server.pool, "listen_port", None)
-        if listen_port is not None:
-            print("accepting dial-in workers on port %d" % listen_port,
-                  flush=True)
         loop = asyncio.get_running_loop()
         stop = loop.create_future()
 
@@ -648,20 +658,7 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from repro.exec import connect_and_serve
-
-    host, sep, port = args.connect.rpartition(":")
-    if not sep or not port.isdigit():
-        print("--connect expects HOST:PORT, got %r" % (args.connect,),
-              file=sys.stderr)
-        return 2
-    return connect_and_serve(host or "127.0.0.1", int(port))
-
-
 def _cmd_submit(args) -> int:
-    import json
-
     from repro.io.service_json import request_from_spec_payload
     from repro.service.client import ServiceUnreachable, submit
 
@@ -728,7 +725,6 @@ _HANDLERS = {
     "campaign": _cmd_campaign,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
-    "worker": _cmd_worker,
 }
 
 

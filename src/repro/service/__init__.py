@@ -1,11 +1,10 @@
 """Synthesis-as-a-service: the long-running job server over the engine.
 
-The ROADMAP's millions-of-users story, assembled from pieces the repo
-already trusts: supervised :mod:`repro.exec` worker processes (local
-forks or dial-in TCP workers) compute, the
-persistent content-addressed store (:mod:`repro.perf.store`)
-remembers, and this package adds the front end that turns both into a
-service --
+Assembled from pieces the repo already trusts: supervised
+:mod:`repro.exec` worker processes (forked locally, one pipe each)
+compute, the persistent content-addressed store
+(:mod:`repro.perf.store`) remembers, and this package adds the front
+end that turns both into a service --
 
 * :mod:`repro.service.server` -- the asyncio HTTP server: schema
   validation at admission, exact-hit serving from the store's

@@ -8,20 +8,8 @@ Dispatch is **pull-based**: admitted jobs land on one shared
 :class:`asyncio.Queue` and each shard's async loop pulls the next job
 the moment its worker goes idle, so a slow synthesis on one shard
 never head-blocks the others (the least-loaded-shard rule falls out
-of the pull protocol for free).
-
-Shards come in two flavors:
-
-* **local** -- ``workers`` processes forked at :meth:`start` over the
-  configured transport (``pipe`` default; ``socket`` runs the same
-  loop over framed TCP);
-* **remote** -- with ``worker_port`` set, the pool listens for
-  ``repro worker --connect HOST:PORT`` dial-ins and *adopts* each as
-  a new shard for as long as it stays connected.  An adopted shard's
-  liveness is heartbeat freshness; when its host vanishes mid-job the
-  attempt resolves as a ``crash`` like any local death, the
-  unfinished job is re-queued for the remaining shards, and the shard
-  retires.
+of the pull protocol for free).  Each shard is one forked worker
+process behind a pipe, started at :meth:`start`.
 
 Supervision is :meth:`SupervisedWorker.attempt` run on the event
 loop's default executor (the blocking waits stay off the loop, so the
@@ -34,7 +22,7 @@ unresolved future, never a hung connection.
 :meth:`ShardPool.drain` is the graceful-shutdown half of the
 contract: it closes the queue to new submissions (the server starts
 refusing with 503 first), lets every queued and in-flight job finish,
-then stops the workers and the dial-in listener.
+then stops the workers.
 """
 
 from __future__ import annotations
@@ -45,46 +33,27 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from repro.obs.trace import Tracer, resolve_tracer
-from repro.exec import (
-    SocketTransport,
-    SupervisedWorker,
-    make_job_transport,
-    welcome_message,
-)
-from repro.exec.frames import FrameConnection
-from repro.exec.sockets import WorkerListener
-from repro.exec.supervise import OK
+from repro.exec import SupervisedWorker, make_job_transport
+from repro.exec.supervise import ERROR, OK
 
 #: Worker target resolved inside each shard process (the same
 #: executor the campaign runner dispatches to).
 JOB_TARGET = "repro.campaign.jobs:execute_job"
-
-#: Supervision verdicts (the ``error.kind`` of a failed response).
-CRASH = "crash"
-TIMEOUT = "timeout"
-ERROR = "error"
 
 
 class PoolClosed(RuntimeError):
     """A job was submitted to a draining or closed pool."""
 
 
-class _ShardRetired(RuntimeError):
-    """An adopted remote worker is gone and cannot be replaced."""
-
-
 class ShardPool:
     """A pull-based pool of supervised synthesis shards.
 
-    ``workers`` local worker processes (over ``transport``), each
-    paired with an async shard loop pulling from one shared queue;
-    ``worker_port`` additionally accepts remote dial-in shards
-    (``workers=0`` is legal then -- a pure listener pool).
-    ``retries`` bounds re-attempts after a crash/timeout/error;
-    ``timeout_s`` is the per-attempt wall-clock budget (``None`` =
-    unbounded).  All counters land on ``tracer`` under
-    ``service.jobs.*`` (supervision) and ``exec.workers.*``
-    (substrate health).
+    ``workers`` forked worker processes, each paired with an async
+    shard loop pulling from one shared queue.  ``retries`` bounds
+    re-attempts after a crash/timeout/error; ``timeout_s`` is the
+    per-attempt wall-clock budget (``None`` = unbounded).  All
+    counters land on ``tracer`` under ``service.jobs.*``
+    (supervision) and ``exec.workers.*`` (substrate health).
     """
 
     def __init__(
@@ -93,33 +62,19 @@ class ShardPool:
         retries: int = 1,
         timeout_s: Optional[float] = None,
         tracer: Optional[Tracer] = None,
-        transport: Optional[str] = None,
-        worker_port: Optional[int] = None,
-        worker_host: str = "0.0.0.0",
     ) -> None:
         """Configure the pool; processes spawn in :meth:`start`."""
-        if workers < 1 and worker_port is None:
-            raise ValueError(
-                "a shard pool needs >= 1 worker (or a worker_port "
-                "accepting remote dial-ins)"
-            )
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers < 1:
+            raise ValueError("a shard pool needs >= 1 worker")
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.workers = workers
         self.retries = retries
         self.timeout_s = timeout_s
         self.tracer = resolve_tracer(tracer)
-        self.transport = transport
-        self.worker_port = worker_port
-        self.worker_host = worker_host
         self._queue: Optional[asyncio.Queue] = None
         self._shards: list = []
         self._shard_workers: List[SupervisedWorker] = []
-        self._listener: Optional[WorkerListener] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._next_shard = 0
         self._draining = False
         self._started = False
         self._inflight = 0
@@ -137,7 +92,7 @@ class ShardPool:
 
     @property
     def alive_workers(self) -> int:
-        """How many shard workers (local + adopted) are alive."""
+        """How many shard workers are alive."""
         return sum(1 for w in self._shard_workers if w.alive)
 
     @property
@@ -146,14 +101,9 @@ class ShardPool:
         queued = self._queue.qsize() if self._queue is not None else 0
         return queued + self._inflight
 
-    @property
-    def listen_port(self) -> Optional[int]:
-        """The bound dial-in port while listening, else ``None``."""
-        return self._listener.port if self._listener is not None else None
-
     def worker_info(self) -> List[Dict[str, Any]]:
-        """Per-shard health rows for ``/stats``: transport kind,
-        liveness, restarts, jobs done, remote peer."""
+        """Per-shard health rows for ``/stats``: liveness, pid,
+        restarts, jobs done, busy."""
         rows = []
         for i, worker in enumerate(self._shard_workers):
             row = worker.describe()
@@ -163,68 +113,26 @@ class ShardPool:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the shard workers, their pull loops, and the dial-in
-        listener (idempotent)."""
+        """Spawn the shard workers and their pull loops (idempotent)."""
         if self._started:
             return
         self._queue = asyncio.Queue()
-        self._loop = asyncio.get_running_loop()
+        loop = asyncio.get_running_loop()
         self._shard_workers = [
             SupervisedWorker(
-                make_job_transport(JOB_TARGET, self.transport),
-                tracer=self.tracer,
+                make_job_transport(JOB_TARGET), tracer=self.tracer
             )
             for _ in range(self.workers)
         ]
         for worker in self._shard_workers:
             # Spawning forks a process; cheap, but keep it off the loop.
-            await self._loop.run_in_executor(None, worker.spawn)
+            await loop.run_in_executor(None, worker.spawn)
         self._shards = [
             asyncio.ensure_future(self._shard_loop(i, worker))
             for i, worker in enumerate(self._shard_workers)
         ]
-        self._next_shard = len(self._shard_workers)
-        if self.worker_port is not None:
-            self._listener = WorkerListener(
-                self.worker_host, self.worker_port, self._on_dial_in
-            )
-            self._listener.start()
         self._draining = False
         self._started = True
-
-    def _on_dial_in(self, conn: FrameConnection, hello: Dict[str, Any],
-                    remote: str) -> None:
-        """Listener-thread hook: trampoline adoption onto the loop."""
-        if self._loop is None or self._draining:
-            conn.close()
-            return
-        self._loop.call_soon_threadsafe(self._adopt, conn, remote)
-
-    def _adopt(self, conn: FrameConnection, remote: str) -> None:
-        """Adopt one dialed-in worker as a new shard (loop thread)."""
-        if self._draining or not self._started:
-            conn.close()
-            return
-        try:
-            conn.send(welcome_message("job", target=JOB_TARGET))
-        except (OSError, RuntimeError):
-            conn.close()
-            return
-        worker = SupervisedWorker(
-            SocketTransport.adopted(conn, remote), tracer=self.tracer
-        )
-        shard = self._next_shard
-        self._next_shard += 1
-        self._shard_workers.append(worker)
-        self._shards.append(
-            asyncio.ensure_future(self._shard_loop(shard, worker))
-        )
-        self.tracer.incr("service.workers.joined")
-        self.tracer.incr("exec.workers.spawned")
-        self.tracer.incr("exec.workers.transport.socket")
-        self.tracer.event(
-            "service.worker.join", shard=shard, remote=remote
-        )
 
     async def submit(self, job_id: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Queue one job payload and await its supervision verdict.
@@ -252,37 +160,18 @@ class ShardPool:
         self._draining = True
         if not self._started:
             return
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         for _ in self._shards:
             self._queue.put_nowait(None)  # one stop token per shard
         await asyncio.gather(*self._shards, return_exceptions=True)
         loop = asyncio.get_running_loop()
         for worker in self._shard_workers:
             await loop.run_in_executor(None, worker.stop)
-        # A shard that retired mid-drain may have left re-queued jobs
-        # behind the stop tokens; resolve them rather than hang their
-        # clients.
-        while self._queue is not None and not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is None:
-                continue
-            _job_id, _payload, future, _enqueued_at = item
-            if not future.cancelled() and not future.done():
-                future.set_result({
-                    "status": "failed",
-                    "error": {"kind": "draining",
-                              "detail": "the pool drained before dispatch"},
-                    "attempts": 0, "queue_wait_s": 0.0, "shard": -1,
-                })
         self._shards = []
         self._started = False
 
     # ------------------------------------------------------------------
     async def _shard_loop(self, shard: int, worker: SupervisedWorker) -> None:
-        """One shard: pull jobs until the drain token arrives (or, for
-        an adopted remote, until its host is gone)."""
+        """One shard: pull jobs until the drain token arrives."""
         while True:
             item = await self._queue.get()
             if item is None:
@@ -291,13 +180,6 @@ class ShardPool:
             queue_wait_s = time.monotonic() - enqueued_at
             try:
                 verdict = await self._run_job(shard, worker, job_id, payload)
-            except _ShardRetired:
-                # The remote host is gone; put the job back for the
-                # remaining shards and retire this loop.
-                self._queue.put_nowait((job_id, payload, future, enqueued_at))
-                self.tracer.incr("service.workers.left")
-                self.tracer.event("service.worker.left", shard=shard)
-                return
             except Exception:  # supervision must never kill the shard
                 verdict = {
                     "status": "failed",
@@ -317,13 +199,7 @@ class ShardPool:
     ) -> Dict[str, Any]:
         """Attempt loop for one job on one shard's worker."""
         loop = asyncio.get_running_loop()
-        failure = (ERROR, "job was never attempted")
         for attempt in range(1, self.retries + 2):
-            if not worker.alive and not worker.can_respawn:
-                if attempt == 1:
-                    # Never attempted here: hand the job back intact.
-                    raise _ShardRetired()
-                break
             self.tracer.event(
                 "service.job.start", job=job_id, shard=shard, attempt=attempt
             )
@@ -337,19 +213,7 @@ class ShardPool:
                     "status": "done", "result": outcome.value,
                     "attempts": attempt,
                 }
-            failure = (outcome.kind, outcome.value)
             self.tracer.incr("service.jobs.%s" % outcome.kind)
-            if (
-                outcome.kind == CRASH
-                and not worker.alive
-                and not worker.can_respawn
-            ):
-                # The remote host vanished mid-job: the crash was the
-                # host's, not the job's, so hand the job back intact
-                # for the remaining shards and retire this one.  (A
-                # timeout on a dead remote stays a charged attempt --
-                # the job overran its budget before the host went.)
-                raise _ShardRetired()
             if attempt <= self.retries:
                 self.tracer.incr("service.jobs.retried")
                 self.tracer.event(
@@ -360,10 +224,10 @@ class ShardPool:
         self.tracer.incr("service.jobs.failed")
         self.tracer.event(
             "service.job.failed",
-            job=job_id, shard=shard, reason=failure[0],
+            job=job_id, shard=shard, reason=outcome.kind,
         )
         return {
             "status": "failed",
-            "error": {"kind": failure[0], "detail": failure[1]},
+            "error": {"kind": outcome.kind, "detail": outcome.value},
             "attempts": self.retries + 1,
         }

@@ -85,14 +85,10 @@ class SynthesisServer:
         timeout_s: Optional[float] = None,
         tracer: Optional[Tracer] = None,
         pool: Optional[ShardPool] = None,
-        transport: Optional[str] = None,
-        worker_port: Optional[int] = None,
     ) -> None:
         """Configure the server; nothing binds or spawns until
         :meth:`start`.  ``pool`` substitutes a pre-built (or fake)
-        shard pool -- the test seam.  ``transport`` picks the shard
-        pool's worker transport; ``worker_port`` opens the remote
-        ``repro worker --connect`` dial-in listener."""
+        shard pool -- the test seam."""
         self.host = host
         self.port = port
         self.cache_dir = cache_dir
@@ -102,8 +98,7 @@ class SynthesisServer:
         self.tracer = Tracer() if tracer is None else tracer
         self.pool = pool if pool is not None else ShardPool(
             workers=workers, retries=retries, timeout_s=timeout_s,
-            tracer=self.tracer, transport=transport,
-            worker_port=worker_port,
+            tracer=self.tracer,
         )
         self.store: Optional[SynthesisStore] = (
             SynthesisStore(cache_dir) if cache_dir else None

@@ -1,8 +1,8 @@
-"""SupervisedWorker: one state machine, typed outcomes, both transports.
+"""SupervisedWorker: one state machine, typed outcomes.
 
-Each scenario runs against real worker processes over the pipe AND
-socket transports -- the crash/timeout/error verdicts asserted here
-were produced by actual process deaths, hangs and tracebacks.
+Each scenario runs against real forked pipe workers -- the
+crash/timeout/error verdicts asserted here were produced by actual
+process deaths, hangs and tracebacks.
 """
 
 from __future__ import annotations
@@ -23,12 +23,8 @@ from repro.obs.trace import Tracer
 
 from tests.exec.test_transport import JOB_TARGET, selftest_job
 
-TRANSPORTS = ["pipe", "socket"]
-
-
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_clean_attempt_is_ok_with_the_result(kind):
-    worker = SupervisedWorker(make_job_transport(JOB_TARGET, kind))
+def test_clean_attempt_is_ok_with_the_result():
+    worker = SupervisedWorker(make_job_transport(JOB_TARGET))
     try:
         outcome = worker.attempt("j1", 1, selftest_job("j1"), timeout_s=60.0)
         assert outcome.ok and outcome.kind == OK
@@ -38,12 +34,9 @@ def test_clean_attempt_is_ok_with_the_result(kind):
         worker.stop()
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_crash_is_typed_and_the_worker_respawned(kind):
+def test_crash_is_typed_and_the_worker_respawned():
     tracer = Tracer()
-    worker = SupervisedWorker(
-        make_job_transport(JOB_TARGET, kind), tracer=tracer
-    )
+    worker = SupervisedWorker(make_job_transport(JOB_TARGET), tracer=tracer)
     try:
         outcome = worker.attempt(
             "j1", 1, selftest_job("j1", inject={"crash_attempts": 1}),
@@ -56,14 +49,13 @@ def test_crash_is_typed_and_the_worker_respawned(kind):
         assert again.ok
         counters = tracer.counters.as_dict()
         assert counters["exec.workers.restarts"] == 1
-        assert counters["exec.workers.transport.%s" % kind] >= 1
+        assert counters["exec.workers.spawned"] >= 1
     finally:
         worker.stop()
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_error_is_typed_with_the_traceback(kind):
-    worker = SupervisedWorker(make_job_transport(JOB_TARGET, kind))
+def test_error_is_typed_with_the_traceback():
+    worker = SupervisedWorker(make_job_transport(JOB_TARGET))
     try:
         outcome = worker.attempt(
             "j1", 1, selftest_job("j1", inject={"error_attempts": 1}),
@@ -76,9 +68,8 @@ def test_error_is_typed_with_the_traceback(kind):
         worker.stop()
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
-def test_timeout_kills_the_hung_worker_and_is_typed(kind):
-    worker = SupervisedWorker(make_job_transport(JOB_TARGET, kind))
+def test_timeout_kills_the_hung_worker_and_is_typed():
+    worker = SupervisedWorker(make_job_transport(JOB_TARGET))
     try:
         outcome = worker.attempt(
             "j1", 1,
@@ -96,7 +87,7 @@ def test_timeout_kills_the_hung_worker_and_is_typed(kind):
 def test_submit_poll_is_the_nonblocking_face():
     import time
 
-    worker = SupervisedWorker(make_job_transport(JOB_TARGET, "pipe"))
+    worker = SupervisedWorker(make_job_transport(JOB_TARGET))
     try:
         worker.spawn()
         worker.submit("j1", 1, selftest_job("j1"))
@@ -113,7 +104,7 @@ def test_submit_poll_is_the_nonblocking_face():
 
 
 def test_double_submit_is_refused():
-    worker = SupervisedWorker(make_job_transport(JOB_TARGET, "pipe"))
+    worker = SupervisedWorker(make_job_transport(JOB_TARGET))
     try:
         worker.spawn()
         worker.submit("j1", 1, selftest_job("j1"))
@@ -124,10 +115,10 @@ def test_double_submit_is_refused():
 
 
 def test_describe_reports_supervision_state():
-    worker = SupervisedWorker(make_job_transport(JOB_TARGET, "pipe"))
+    worker = SupervisedWorker(make_job_transport(JOB_TARGET))
     try:
         info = worker.describe()
-        assert info["kind"] == "pipe"
+        assert info["alive"] is False and info["pid"] is None
         assert info["restarts"] == 0 and info["jobs_done"] == 0
         assert info["busy"] is False
     finally:

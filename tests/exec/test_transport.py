@@ -1,4 +1,4 @@
-"""Transport contract tests: selection, escalation, pipe lifecycle.
+"""Pipe worker contract tests: escalation and lifecycle.
 
 This file owns THE SIGTERM -> SIGKILL escalation suite: every layer's
 kill delegates to :func:`repro.exec.transport.terminate_process`, so a
@@ -16,11 +16,9 @@ from repro.campaign.jobs import Job
 from repro.exec import transport as transport_mod
 from repro.exec import (
     PipeTransport,
-    SocketTransport,
     TransportDead,
     job_worker_main,
     make_job_transport,
-    resolve_transport_name,
 )
 
 JOB_TARGET = "repro.campaign.jobs:execute_job"
@@ -35,41 +33,6 @@ def selftest_job(job_id, inject=None, value="ping"):
         id=job_id, kind="selftest", example="A1TR", scale=0.05,
         variant="default", config={}, params=params,
     ).to_dict()
-
-
-# ----------------------------------------------------------------------
-# transport selection + kill switch
-# ----------------------------------------------------------------------
-def test_resolve_transport_defaults_to_pipe(monkeypatch):
-    monkeypatch.delenv(transport_mod.TRANSPORT_ENV, raising=False)
-    assert resolve_transport_name() == "pipe"
-    assert resolve_transport_name("socket") == "socket"
-
-
-def test_env_kill_switch_beats_the_requested_kind(monkeypatch):
-    monkeypatch.setenv(transport_mod.TRANSPORT_ENV, "pipe")
-    assert resolve_transport_name("socket") == "pipe"
-    monkeypatch.setenv(transport_mod.TRANSPORT_ENV, "socket")
-    assert resolve_transport_name("pipe") == "socket"
-
-
-def test_unknown_transport_kind_fails_loudly(monkeypatch):
-    monkeypatch.delenv(transport_mod.TRANSPORT_ENV, raising=False)
-    with pytest.raises(ValueError, match="unknown exec transport"):
-        resolve_transport_name("carrier-pigeon")
-    monkeypatch.setenv(transport_mod.TRANSPORT_ENV, "typo")
-    with pytest.raises(ValueError, match="unknown exec transport"):
-        resolve_transport_name("pipe")
-
-
-def test_make_job_transport_kinds(monkeypatch):
-    monkeypatch.delenv(transport_mod.TRANSPORT_ENV, raising=False)
-    assert isinstance(make_job_transport(JOB_TARGET), PipeTransport)
-    assert isinstance(
-        make_job_transport(JOB_TARGET, "socket"), SocketTransport
-    )
-    monkeypatch.setenv(transport_mod.TRANSPORT_ENV, "socket")
-    assert isinstance(make_job_transport(JOB_TARGET), SocketTransport)
 
 
 # ----------------------------------------------------------------------
@@ -91,15 +54,12 @@ def _wedge(transport, tmp_path):
         time.sleep(0.01)
 
 
-@pytest.mark.parametrize("kind", ["pipe", "socket"])
-def test_kill_escalates_to_sigkill_on_a_wedged_worker(
-    kind, tmp_path, monkeypatch
-):
+def test_kill_escalates_to_sigkill_on_a_wedged_worker(tmp_path, monkeypatch):
     """A worker that masks SIGTERM must not outlive kill(): after the
     grace period terminate_process escalates to SIGKILL rather than
     leaking the process beside its respawned replacement."""
     monkeypatch.setattr(transport_mod, "TERM_GRACE_S", 0.2)
-    transport = make_job_transport(JOB_TARGET, kind)
+    transport = make_job_transport(JOB_TARGET)
     _wedge(transport, tmp_path)
     proc = transport._proc
     transport.kill()
@@ -174,17 +134,3 @@ def test_dead_pipe_surfaces_as_transport_dead():
     with pytest.raises(TransportDead):
         transport.recv(timeout=30.0)
     transport.kill()
-
-
-def test_socket_transport_round_trips_a_job():
-    transport = make_job_transport(JOB_TARGET, "socket")
-    try:
-        transport.spawn()
-        transport.send(("job", "j1", 1, selftest_job("j1")))
-        reply = transport.recv(timeout=30.0)
-        assert reply[0] == "ok" and reply[1] == "j1"
-        assert reply[2]["echo"] == "ping"
-        assert transport.describe()["kind"] == "socket"
-    finally:
-        transport.stop()
-    assert not transport.alive

@@ -42,19 +42,13 @@ def run_pool_scenario(scenario, **pool_kwargs):
     return asyncio.run(main())
 
 
-TRANSPORTS = ["pipe", "socket"]
-
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_clean_job_resolves_done_with_result_and_trace(transport):
+def test_clean_job_resolves_done_with_result_and_trace():
     tracer = Tracer()
 
     async def scenario(pool):
         return await pool.submit("j1", selftest_payload("j1"))
 
-    verdict = run_pool_scenario(
-        scenario, workers=1, tracer=tracer, transport=transport
-    )
+    verdict = run_pool_scenario(scenario, workers=1, tracer=tracer)
     assert verdict["status"] == "done"
     assert verdict["result"]["echo"] == "ping"
     assert verdict["attempts"] == 1
@@ -63,8 +57,7 @@ def test_clean_job_resolves_done_with_result_and_trace(transport):
     assert tracer.counters.as_dict()["service.jobs.done"] == 1
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_crashed_worker_is_respawned_and_the_job_retried(transport):
+def test_crashed_worker_is_respawned_and_the_job_retried():
     tracer = Tracer()
 
     async def scenario(pool):
@@ -73,9 +66,7 @@ def test_crashed_worker_is_respawned_and_the_job_retried(transport):
         assert pool.alive_workers == 1  # the shard got a fresh process
         return verdict
 
-    verdict = run_pool_scenario(
-        scenario, workers=1, retries=1, tracer=tracer, transport=transport
-    )
+    verdict = run_pool_scenario(scenario, workers=1, retries=1, tracer=tracer)
     assert verdict["status"] == "done"
     assert verdict["attempts"] == 2
     counters = tracer.counters.as_dict()
@@ -106,8 +97,7 @@ def test_job_exception_surfaces_as_an_error_verdict_with_traceback():
     assert "injected failure" in verdict["error"]["detail"]
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_hung_worker_is_killed_and_reported_as_timeout(transport):
+def test_hung_worker_is_killed_and_reported_as_timeout():
     async def scenario(pool):
         payload = selftest_payload(
             "j1", inject={"hang_attempts": 1, "hang_seconds": 60.0}
@@ -115,7 +105,7 @@ def test_hung_worker_is_killed_and_reported_as_timeout(transport):
         return await pool.submit("j1", payload)
 
     verdict = run_pool_scenario(
-        scenario, workers=1, retries=0, timeout_s=1.0, transport=transport
+        scenario, workers=1, retries=0, timeout_s=1.0
     )
     assert verdict["status"] == "failed"
     assert verdict["error"]["kind"] == "timeout"
@@ -161,72 +151,9 @@ def test_constructor_rejects_nonsense():
     with pytest.raises(ValueError):
         ShardPool(workers=0)
     with pytest.raises(ValueError):
-        ShardPool(workers=-1, worker_port=0)
+        ShardPool(workers=-1)
     with pytest.raises(ValueError):
         ShardPool(retries=-1)
-
-
-def test_zero_workers_is_legal_with_a_dialin_port():
-    pool = ShardPool(workers=0, worker_port=0)
-    assert pool.workers == 0 and pool.listen_port is None  # not started
-
-
-def test_remote_death_mid_job_hands_the_job_back_intact():
-    """A dial-in shard whose host vanishes mid-job does not burn a
-    retry: the job is re-queued untouched (attempt numbering restarts)
-    and the next worker completes it, even with retries=0."""
-    import socket as socket_mod
-
-    from repro.exec.frames import FrameConnection
-    from repro.exec.worker import HELLO_MAGIC, PROTOCOL_VERSION
-
-    def dial(port):
-        sock = socket_mod.create_connection(("127.0.0.1", port), timeout=5.0)
-        conn = FrameConnection(sock)
-        conn.send({"hello": HELLO_MAGIC, "v": PROTOCOL_VERSION, "pid": 0})
-        welcome = conn.recv(timeout=5.0)
-        assert welcome["role"] == "job"
-        return conn
-
-    tracer = Tracer()
-
-    async def main():
-        pool = ShardPool(
-            workers=0, worker_port=0, worker_host="127.0.0.1",
-            retries=0, tracer=tracer,
-        )
-        await pool.start()
-        loop = asyncio.get_running_loop()
-        try:
-            first = await loop.run_in_executor(None, dial, pool.listen_port)
-            task = asyncio.ensure_future(
-                pool.submit("j1", selftest_payload("j1"))
-            )
-            job = await loop.run_in_executor(
-                None, lambda: first.recv(timeout=10.0)
-            )
-            assert job[0] == "job" and job[1] == "j1" and job[2] == 1
-            first.close()  # the remote host vanishes mid-job
-            second = await loop.run_in_executor(None, dial, pool.listen_port)
-            replay = await loop.run_in_executor(
-                None, lambda: second.recv(timeout=10.0)
-            )
-            assert replay[0] == "job" and replay[1] == "j1"
-            assert replay[2] == 1  # handed back intact, not a retry
-            second.send(("ok", "j1", {"echo": "ping"}))
-            verdict = await asyncio.wait_for(task, timeout=10.0)
-            assert verdict["status"] == "done"
-            assert verdict["attempts"] == 1
-        finally:
-            await pool.drain()
-
-    asyncio.run(main())
-    counters = tracer.counters.as_dict()
-    assert counters["service.workers.joined"] == 2
-    assert counters["service.workers.left"] >= 1
-    assert counters["service.jobs.crash"] == 1
-    assert "service.jobs.retried" not in counters
-    assert "service.jobs.failed" not in counters
 
 
 def test_worker_info_reports_shard_health():
@@ -235,7 +162,7 @@ def test_worker_info_reports_shard_health():
         info = pool.worker_info()
         assert len(info) == 1
         assert info[0]["shard"] == 0
-        assert info[0]["kind"] == "pipe"
+        assert isinstance(info[0]["pid"], int)
         assert info[0]["alive"] is True
         assert info[0]["jobs_done"] == 1
         assert info[0]["restarts"] == 0

@@ -160,6 +160,57 @@ class TestCli:
         ])
         self._assert_one_error_line(code, capsys, path)
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("policy", [1], "'policy' must be an object, got [1]"),
+        ("scales", ["abc"], "'scales' must be a list of numbers, got 'abc'"),
+        ("examples", "A1TR", "'examples' must be a list of strings"),
+        ("variants", [{"name": 3}], "'name' must be a string, got 3"),
+        ("policy", {"retries": "2"}, "'retries' must be an integer"),
+        ("policy", {"timeout_s": True}, "'timeout_s' must be a number"),
+    ])
+    def test_wrongly_typed_campaign_field_is_one_error_line(
+        self, field, value, reason, tmp_path, capsys
+    ):
+        """A campaign spec field of the wrong type is a specification
+        error naming the field, never a traceback or a JSON error."""
+        payload = {"name": "t", "kind": "selftest", "examples": ["a"],
+                   "scales": [0.05]}
+        payload[field] = value
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(payload))
+        code = main(["campaign", "run", str(path),
+                     "--dir", str(tmp_path / "campaign")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("repro: error: %s: campaign field " % path)
+        assert reason in err and "not valid JSON" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--workers", "0"],
+        ["serve", "--retries", "-1"],
+        ["serve", "--timeout", "0"],
+        ["serve", "--timeout", "-5"],
+        ["campaign", "run", "--dir", "D", "--retries", "-1"],
+        ["campaign", "run", "--dir", "D", "--workers", "0"],
+        ["campaign", "run", "--dir", "D", "--workers", "-2"],
+        ["campaign", "run", "--dir", "D", "--timeout", "0"],
+        ["campaign", "resume", "D", "--backoff", "-1"],
+    ], ids=" ".join)
+    def test_out_of_range_number_is_one_usage_error(self, argv, capsys):
+        """Counts and budgets are checked where they are parsed."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.count("error: argument %s: must be " % argv[-2]) == 1
+
+    def test_worker_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--connect", "127.0.0.1:9131"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
     def test_synthesize_ft(self, spec_file, capsys):
         code = main(["synthesize", str(spec_file), "--ft", "--copies", "2"])
         captured = capsys.readouterr().out
